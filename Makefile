@@ -53,20 +53,27 @@ lint-json:
 # shard-equivalence gate race-free (the N ∈ {1,2,4,8} × both-store grid
 # under chaos, the mid-run rebalance determinism tests and the tier
 # snapshot round-trip; the race pass above already exercises them under
-# the race scheduler), and finish with a short fuzz pass over the
-# factorization/solve, WAL-decode, store block-merge and
-# shard-assignment targets.
+# the race scheduler), run the e2ebench module's own tests (it is a
+# separate module, so ./... above does not reach it, and a public-API
+# change that breaks the benchmark must fail here), and finish with a
+# short fuzz pass over the factorization/solve, WAL-decode, store
+# block-merge, shard-assignment and checkpoint-decode targets. The
+# checkpoint target caps minimization at 2 s: its seeds are ~10 KB
+# real checkpoints, and the default 60 s spent shrinking each new
+# corpus entry would eat the whole fuzz budget.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence' -count=1 .
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget' -count=1 .
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip' -count=1 .
+	cd e2ebench && $(GO) test ./...
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 2s .
 
 # The chaos harness: the Dublin pipeline under deterministic fault
 # profiles, scored against its own fault-free run.
@@ -112,13 +119,15 @@ bench-shard:
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
 # in internal/linalg/testdata/fuzz, WAL frame/codec regressions in
-# streams/wal/testdata/fuzz, as permanent corpus seeds.
+# streams/wal/testdata/fuzz, checkpoint-decode regressions in
+# testdata/fuzz, as permanent corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 2s .
 
 # Regenerate every figure of the paper's evaluation into ./results.
 figures:

@@ -8,13 +8,18 @@
 //
 // Profiles:
 //
-//	stall-scats  the scats-north mediator dies after its first SDE
-//	stall-recover the scats-north mediator stalls, then reconnects
+//	stall-scats  the scats-north mediator dies after its first envelope
+//	stall-recover the scats-north mediator stalls for five envelopes,
+//	             then reconnects
 //	drop         every stream loses 10% of its SDEs
 //	dup          every stream duplicates 10% of its SDEs
 //	delay        every stream reorders 20% of its SDEs
-//	flaky-proc   input validation fails 5% of items (skip-item
+//	flaky-proc   input validation fails 5% of envelopes (skip-item
 //	             supervision dead-letters them)
+//
+// SDEs travel as batch envelopes of up to Step/2 of arrivals; stalls
+// and injected processor errors count and hit whole envelopes, while
+// drop, dup and delay act on the rows inside them.
 //
 // Usage:
 //
@@ -121,7 +126,7 @@ func main() {
 			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 0},
 		}}},
 		{"stall-recover", insight.ChaosConfig{Streams: map[string]streams.FaultSpec{
-			"scats-north": {Seed: 1, StallAfter: 10, StallFor: 90},
+			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
 		}}},
 		{"drop", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 2, DropProb: 0.10})}},
 		{"dup", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 3, DupProb: 0.10})}},

@@ -115,21 +115,9 @@ type Config struct {
 	// row-id key indexes (lower resident memory, identical recognition
 	// output — see DESIGN.md, "Columnar store internals").
 	Store rtec.StoreKind
-	// ColumnarTransport moves SDEs through the pipeline as typed
-	// columnar batches (streams.Batch) instead of one map-backed item
-	// per event: the generator emits batches natively and the
-	// monitoring processor feeds them to the engines as column blocks.
-	// Recognition output is identical either way; the columnar path
-	// exists purely for throughput (see DESIGN.md).
+	// Deprecated: ignored; the pipeline always moves SDEs as typed
+	// columnar batches (streams.Batch).
 	ColumnarTransport bool
-	// UnpacedReplay lets the replay sources run freely instead of
-	// aligning them on the shared virtual clock. Benchmark mode: the
-	// pipeline then measures processing cost, not replay pacing.
-	// Recognition output is unaffected when WatermarkStaleness is 0
-	// (boundary admission filters by arrival time, so the interleaving
-	// never shows); with a staleness bound, free-running sources can
-	// spuriously degrade slower streams — keep pacing in that case.
-	UnpacedReplay bool
 }
 
 // System is the assembled INSIGHT pipeline.

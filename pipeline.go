@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/insight-dublin/insight/dublin"
-	"github.com/insight-dublin/insight/geo"
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
@@ -29,8 +28,11 @@ import (
 //     CEs into participant queries and merges the responses;
 //   - the traffic modelling procedure registered as a Streams service.
 //
-// Reports flow to the returned collector sink, one item per query time
-// under key "report".
+// SDEs travel from the sources to the monitoring process only as
+// columnar batch envelopes (streams.Batch), replayed on a shared
+// virtual clock; the only per-item traffic is end-of-stream
+// punctuation and the reports. Reports flow to the returned collector
+// sink, one item per query time under key "report".
 type Pipeline struct {
 	Topology *streams.Topology
 	Reports  *streams.CollectorSink
@@ -52,11 +54,9 @@ var pipelineStreamIDs = []string{"bus", "scats-central", "scats-north", "scats-w
 
 // Item attribute keys used by the pipeline.
 const (
-	itemEvent   = "event"   // rtec.Event payload
-	itemArrival = "arrival" // arrival time (int64)
-	itemSource  = "source"  // originating stream id
-	itemEOF     = "eof"     // end-of-stream punctuation
-	itemReport  = "report"  // *Report payload
+	itemSource = "source" // originating stream id
+	itemEOF    = "eof"    // end-of-stream punctuation
+	itemReport = "report" // *Report payload
 )
 
 // ChaosConfig configures deterministic fault injection for
@@ -99,35 +99,20 @@ func (s *System) BuildChaosPipeline(from, until Time, chaos ChaosConfig) (*Pipel
 }
 
 func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durableRuntime) (*Pipeline, error) {
-	// Split into the paper's five input streams, each arrival-ordered
-	// (the global collection is arrival-sorted, so per-stream order is
-	// kept). With ColumnarTransport the generator emits typed batches
-	// natively — no per-event map is ever built on the ingest path;
-	// batch spans are capped at Step/2 (the pacer slack) so at most one
-	// query boundary can land inside a batch and watermark punctuation
-	// keeps its per-item granularity.
+	// Split into the paper's five input streams, each arrival-ordered.
+	// The generator emits typed columnar batches natively — no
+	// per-event map is ever built on the ingest path; batch spans are
+	// capped at Step/2 (the pacer slack) so at most one query boundary
+	// can land inside a batch and watermark punctuation keeps its
+	// per-row granularity.
 	streamIDs := pipelineStreamIDs
 	perStream := make(map[string][]streams.Item, len(streamIDs))
-	if s.cfg.ColumnarTransport {
-		for _, bs := range s.city.CollectBatches(from, until, 512, s.cfg.Step/2) {
-			items := make([]streams.Item, 0, len(bs.Batches))
-			for _, b := range bs.Batches {
-				items = append(items, streams.BatchItem(b))
-			}
-			perStream[bs.ID] = items
+	for _, bs := range s.city.CollectBatches(from, until, 512, s.cfg.Step/2) {
+		items := make([]streams.Item, 0, len(bs.Batches))
+		for _, b := range bs.Batches {
+			items = append(items, streams.BatchItem(b))
 		}
-	} else {
-		for _, sde := range s.city.Collect(from, until) {
-			id := "bus"
-			if sde.Event.Type == traffic.TrafficType {
-				id = "scats-" + geo.Region(dublin.PartitionOf(sde.Event)).String()
-			}
-			perStream[id] = append(perStream[id], streams.Item{
-				itemEvent:   sde.Event,
-				itemArrival: int64(sde.Arrival),
-				itemSource:  id,
-			})
-		}
+		perStream[bs.ID] = items
 	}
 	// End-of-stream punctuation: one trailing marker per stream lifts
 	// that stream's watermark past the final boundary as soon as it
@@ -145,18 +130,14 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 	// like a dead mediator whose upstream keeps transmitting.
 	pacer := streams.NewPacer(int64(s.cfg.Step) / 2)
 	arrivalOf := func(it streams.Item) (int64, bool) {
-		if b, isBatch := streams.ItemBatch(it); isBatch {
-			if b.Len() == 0 || b.Arrivals == nil {
-				return 0, false
-			}
-			// Pace on the batch's first arrival; the Step/2 span cap
-			// keeps the whole batch within the pacer slack.
-			return b.Arrivals[0], true
-		}
-		if it.Bool(itemEOF) {
+		// EOF punctuation carries no arrival. Batches pace on their
+		// first arrival; the Step/2 span cap keeps the whole batch
+		// within the pacer slack.
+		b, isBatch := streams.ItemBatch(it)
+		if !isBatch || b.Len() == 0 || b.Arrivals == nil {
 			return 0, false
 		}
-		return it.Int(itemArrival), true
+		return b.Arrivals[0], true
 	}
 	for _, id := range streamIDs {
 		items := perStream[id]
@@ -179,10 +160,7 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 			items = items[skip:]
 		}
 		items = append(items, streams.Item{itemSource: id, itemEOF: true})
-		var src streams.Source = streams.NewSliceSource(items...)
-		if !s.cfg.UnpacedReplay {
-			src = streams.NewPacedSource(src, pacer, id, int64(from), arrivalOf)
-		}
+		var src streams.Source = streams.NewPacedSource(streams.NewSliceSource(items...), pacer, id, int64(from), arrivalOf)
 		if spec, faulty := chaos.Streams[id]; faulty {
 			// Child seed per stream: the fault sequence each stream
 			// experiences is a function of (spec seed, stream id) alone,
@@ -231,9 +209,9 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 	}
 
 	// Input handling processes: one per stream, validating and
-	// forwarding into the shared SDE queue. The validator is
-	// batch-aware: batch envelopes are schema-checked and forwarded
-	// whole instead of being expanded into per-row items.
+	// forwarding into the shared SDE queue. Batch envelopes are
+	// schema-checked and forwarded whole, never expanded into per-row
+	// items.
 	validate := sdeValidator{}
 	chaosProcs := make(map[string]*streams.ChaosProcessor)
 	for _, id := range streamIDs {
@@ -339,20 +317,24 @@ func newRTECProcessor(s *System, from, until Time) *rtecProcessor {
 // modelling procedure is registered in the pipeline topology.
 type TrafficModelService func(MapConfig) (*FlowEstimate, error)
 
-// sdeValidator is the input-handling processor: it checks per-item
-// SDEs carry an event payload and batch envelopes satisfy the
-// row-length invariant, forwarding both unchanged.
+// sdeValidator is the input-handling processor: it checks batch
+// envelopes satisfy the row-length invariant and forwards them
+// unchanged, together with EOF punctuation.
 type sdeValidator struct{}
 
-// Process validates one per-item SDE (or EOF punctuation).
+// Process forwards EOF punctuation, the only per-item traffic of the
+// pipeline; SDEs travel in batch envelopes.
 func (sdeValidator) Process(it streams.Item) (streams.Item, error) {
-	if it.Bool(itemEOF) {
-		return it, nil
-	}
-	if _, ok := it[itemEvent].(rtec.Event); !ok {
-		return nil, fmt.Errorf("insight: SDE item without event payload")
+	if !it.Bool(itemEOF) {
+		return nil, errPerItemSDE(it)
 	}
 	return it, nil
+}
+
+// errPerItemSDE rejects a non-punctuation item: SDEs move through the
+// pipeline only as columnar batch envelopes.
+func errPerItemSDE(it streams.Item) error {
+	return fmt.Errorf("insight: per-item SDE from %q: SDEs travel only in batch envelopes", it.String(itemSource))
 }
 
 // ProcessBatch validates a batch envelope and forwards it whole.
@@ -379,7 +361,7 @@ func (sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 // region cannot freeze city-wide recognition; the exclusion is
 // surfaced on every report fired while it holds. A recovered stream
 // rejoins the minimum, and its late SDEs re-enter recognition through
-// the ordinary delayed-arrival path (they sit in pending until a
+// the ordinary delayed-arrival path (they sit in pendingRows until a
 // boundary with arrival <= Q admits them, where the engines' dirty
 // watermark revises the affected window) — recognition semantics stay
 // exact, only boundary release timing adapts.
@@ -394,14 +376,11 @@ type rtecProcessor struct {
 	staleness  Time
 	watermarks map[string]Time
 	degraded   map[string]bool
-	// pending buffers consumed SDEs until a query boundary admits
-	// them: at query time Q exactly the SDEs with arrival <= Q may
-	// have been delivered to the engines, as in a live deployment.
-	pending []pendingSDE
-	// pendingRows is the columnar counterpart of pending: row
-	// references into retained transport batches, in exact consumption
-	// order across streams, so boundary admission files events into
-	// the engine stores in the same order the per-item path would.
+	// pendingRows buffers consumed SDEs until a query boundary admits
+	// them — at query time Q exactly the SDEs with arrival <= Q may
+	// have been delivered to the engines, as in a live deployment. Its
+	// entries are row references into retained transport batches, in
+	// exact consumption order across streams.
 	pendingRows []rowRef
 	// runRows is the reusable row buffer admitRows flushes in
 	// consecutive same-block runs.
@@ -417,11 +396,6 @@ type rtecProcessor struct {
 	// points (never mid-batch, where rows past the firing one are in
 	// neither the engines nor pendingRows yet).
 	durable *durableRuntime
-}
-
-type pendingSDE struct {
-	event   rtec.Event
-	arrival Time
 }
 
 // pendingBlock retains one consumed transport batch until every row
@@ -441,19 +415,14 @@ type rowRef struct {
 	row int32
 }
 
-// Process implements streams.Processor. SDE items are consumed; when
-// query boundaries become due their report items are emitted, one per
-// processed item.
+// Process implements streams.Processor for EOF punctuation: the
+// stream's watermark lifts past the final boundary, and a report item
+// is emitted if a query boundary became due.
 func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
-	src := it.String(itemSource)
-	if it.Bool(itemEOF) {
-		p.watermarks[src] = p.until + p.step // unblock the final boundaries
-	} else {
-		ev, _ := it[itemEvent].(rtec.Event)
-		arrival := Time(it.Int(itemArrival))
-		p.pending = append(p.pending, pendingSDE{event: ev, arrival: arrival})
-		p.watermarks[src] = arrival
+	if !it.Bool(itemEOF) {
+		return nil, errPerItemSDE(it)
 	}
+	p.watermarks[it.String(itemSource)] = p.until + p.step // unblock the final boundaries
 	if err := p.fireDue(context.Background()); err != nil {
 		return nil, err
 	}
@@ -470,13 +439,12 @@ func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
 	return rep, nil
 }
 
-// ProcessBatch implements streams.BatchProcessor: the columnar
-// counterpart of Process. Rows are consumed strictly in order — each
-// row advances its stream's watermark and re-checks due boundaries
-// exactly as a per-item delivery of the same event would — so the
-// sequence of (admission, evaluation) steps, and with it the CE
-// output, is bit-identical to per-item transport. The batch is
-// retained until boundary admission has drained it.
+// ProcessBatch implements streams.BatchProcessor. Rows are consumed
+// strictly in order — each row advances its stream's watermark and
+// re-checks due boundaries — so the sequence of (admission,
+// evaluation) steps is the one a row-at-a-time delivery of the same
+// events would produce. The batch is retained until boundary
+// admission has drained it.
 func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	if p.durable != nil {
 		// The envelope is consumed whatever recognition does with it;
@@ -661,27 +629,10 @@ func (p *rtecProcessor) fireDue(ctx context.Context) error {
 		q := p.nextQ
 		p.nextQ += p.step
 		// Deliver exactly the SDEs that have arrived by q.
-		kept := p.pending[:0]
-		fed := 0
-		for _, ps := range p.pending {
-			if ps.arrival <= q {
-				if err := p.system.engines.Input(ps.event); err != nil {
-					return err
-				}
-				if ps.event.Type == traffic.TrafficType {
-					p.system.noteTraffic(ps.event)
-				}
-				fed++
-			} else {
-				kept = append(kept, ps)
-			}
-		}
-		p.pending = kept
-		fedRows, err := p.admitRows(q)
+		fed, err := p.admitRows(q)
 		if err != nil {
 			return err
 		}
-		fed += fedRows
 		rep, err := p.system.evaluate(ctx, q, fed, false)
 		if err != nil {
 			return err
@@ -714,8 +665,7 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 			return nil, err
 		}
 	}
-	// Rows arriving after the final boundary are never admitted (the
-	// per-item path leaves their events in pending the same way);
+	// Rows arriving after the final boundary are never admitted;
 	// return their transport buffers to the pool.
 	for _, ref := range p.pendingRows {
 		if ref.pb.blk != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
@@ -60,28 +61,71 @@ func compareReports(t *testing.T, label string, got, want []*Report) {
 	for i := range got {
 		gf, wf := ceFingerprint(got[i]), ceFingerprint(want[i])
 		if gf != wf {
-			t.Errorf("%s: report %d differs:\n--- columnar ---\n%s--- map ---\n%s", label, i, gf, wf)
+			t.Errorf("%s: report %d differs:\n--- got ---\n%s--- want ---\n%s", label, i, gf, wf)
 		}
 	}
 }
 
-// TestColumnarPipelineMatchesMapPipeline is the tentpole equivalence
-// check: the same city through per-item map transport and through
-// columnar batched transport must recognise bit-identical complex
-// events — crowdsourcing feedback loop included — and the columnar run
-// must return every transport buffer to the pool.
-func TestColumnarPipelineMatchesMapPipeline(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
+// survivingSDEs replays the city's batch envelopes for [from, until)
+// through the same per-stream injectors BuildChaosPipeline installs
+// and returns the rows they let through, with the injectors' fault
+// counts.
+func survivingSDEs(t *testing.T, city *dublin.City, from, until, step Time, specs map[string]streams.FaultSpec) ([]dublin.SDE, int, int) {
+	t.Helper()
+	var sdes []dublin.SDE
+	dropped, duplicated := 0, 0
+	for _, bs := range city.CollectBatches(from, until, 512, step/2) {
+		items := make([]streams.Item, 0, len(bs.Batches))
+		for _, b := range bs.Batches {
+			items = append(items, streams.BatchItem(b))
+		}
+		cs := streams.NewChaosSource(streams.NewSliceSource(items...), specs[bs.ID].ForStream(bs.ID))
+		for {
+			it, ok := cs.Read()
+			if !ok {
+				break
+			}
+			b, isBatch := streams.ItemBatch(it)
+			if !isBatch {
+				t.Fatalf("stream %s: injector emitted a non-batch item", bs.ID)
+			}
+			for i := 0; i < b.Len(); i++ {
+				sdes = append(sdes, dublin.SDE{Event: rowEvent(b, i), Arrival: Time(b.Arrivals[i])})
+			}
+			b.Release()
+		}
+		st := cs.Stats()
+		dropped += st.Dropped
+		duplicated += st.Duplicated
+	}
+	return sdes, dropped, duplicated
+}
 
-	mkSystem := func(columnar bool) *System {
-		city := testCity(t)
+// TestChaosDropDupMatchesReplay runs the full chaos pipeline with
+// row-level drops and duplicates on every input stream and checks it
+// against the direct replay loop (System.RunReplay) over exactly the
+// rows the same seeded injectors let through: the pipeline's watermark
+// admission must deliver what an arrival-ordered replay of the faulted
+// streams delivers, boundary by boundary.
+func TestChaosDropDupMatchesReplay(t *testing.T) {
+	const from, until = Time(7 * 3600), Time(8 * 3600)
+	const step = Time(900)
+	city := testCity(t)
+
+	specs := make(map[string]streams.FaultSpec, len(pipelineStreamIDs))
+	for i, id := range pipelineStreamIDs {
+		specs[id] = streams.FaultSpec{
+			Seed:     100 + int64(i)*7,
+			DropProb: 0.05,
+			DupProb:  0.05,
+		}
+	}
+	mkSystem := func() *System {
 		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     1800,
-			Step:              900,
-			Participants:      testParticipants(city, 8),
-			ColumnarTransport: columnar,
+			City:          city,
+			Seed:          7,
+			WorkingMemory: 1800,
+			Step:          step,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -93,98 +137,45 @@ func TestColumnarPipelineMatchesMapPipeline(t *testing.T) {
 		return sys
 	}
 
-	run := func(columnar bool) []*Report {
-		pipe, err := mkSystem(columnar).BuildPipeline(from, until)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports, err := pipe.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-
-	mapReports := run(false)
-	if len(mapReports) == 0 {
-		t.Fatal("map-transport run produced no reports")
-	}
 	before := streams.LiveBatches()
-	colReports := run(true)
+	pipe, err := mkSystem().BuildChaosPipeline(from, until, ChaosConfig{Streams: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: columnar run leaked transport buffers", live, before)
+		t.Errorf("live batches = %d, want %d: faulted run leaked buffers", live, before)
 	}
-	compareReports(t, "columnar vs map", colReports, mapReports)
-}
-
-// TestColumnarChaosDropDupMatchesMap runs the full chaos pipeline with
-// row-level drops and duplicates on every input stream, map vs
-// columnar transport. The injectors consume identical rng sequences in
-// both modes, so the faulted streams — and with them the recognition
-// output — must match exactly.
-func TestColumnarChaosDropDupMatchesMap(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
-	ids := []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"}
-	for i, id := range ids {
-		chaos.Streams[id] = streams.FaultSpec{
-			Seed:     100 + int64(i)*7,
-			DropProb: 0.05,
-			DupProb:  0.05,
-		}
+	pipeDrops, pipeDups := 0, 0
+	for _, cs := range pipe.Chaos {
+		st := cs.Stats()
+		pipeDrops += st.Dropped
+		pipeDups += st.Duplicated
 	}
 
-	run := func(columnar bool) ([]*Report, int, int) {
-		sys, err := New(Config{
-			City:              testCity(t),
-			Seed:              7,
-			WorkingMemory:     1800,
-			Step:              900,
-			ColumnarTransport: columnar,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := sys.BuildChaosPipeline(from, until, chaos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports, err := pipe.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropped, duplicated := 0, 0
-		for _, cs := range pipe.Chaos {
-			st := cs.Stats()
-			dropped += st.Dropped
-			duplicated += st.Duplicated
-		}
-		return reports, dropped, duplicated
+	sdes, drops, dups := survivingSDEs(t, city, from, until, step, specs)
+	if drops == 0 || dups == 0 {
+		t.Fatalf("reference injected %d drops, %d dups: fault injection inert", drops, dups)
 	}
-
-	mapReports, mapDrops, mapDups := run(false)
-	if mapDrops == 0 || mapDups == 0 {
-		t.Fatalf("map run injected %d drops, %d dups: fault injection inert", mapDrops, mapDups)
+	if pipeDrops != drops || pipeDups != dups {
+		t.Errorf("pipeline faults (%d drops, %d dups) != reference faults (%d drops, %d dups)",
+			pipeDrops, pipeDups, drops, dups)
 	}
-	before := streams.LiveBatches()
-	colReports, colDrops, colDups := run(true)
-	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: faulted columnar run leaked buffers", live, before)
+	var want []*Report
+	if err := mkSystem().RunReplay(context.Background(), sdes, from, until, func(r *Report) error {
+		want = append(want, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if colDrops != mapDrops || colDups != mapDups {
-		t.Errorf("columnar faults (%d drops, %d dups) != map faults (%d drops, %d dups)",
-			colDrops, colDups, mapDrops, mapDups)
-	}
-	compareReports(t, "chaos columnar vs map", colReports, mapReports)
+	compareReports(t, "chaos pipeline vs replay", reports, want)
 }
 
 // rowEvent materializes row i of a transport batch as a map-backed
-// rtec event — the per-item representation of the same SDE.
+// rtec event.
 func rowEvent(b *streams.Batch, i int) rtec.Event {
 	attrs := make(map[string]any, len(b.Cols))
 	for ci := range b.Cols {
@@ -228,10 +219,16 @@ func mkRtecProcessor(t *testing.T, from, until Time, ids []string) *rtecProcesso
 // TestColumnarChaosDelayRoundTrip is the reordering half of the chaos
 // contract: a seeded fault mix including out-of-order re-delivery over
 // batched transport must yield CE output identical to feeding the very
-// same faulted rows one map-backed event at a time. Both sides consume
-// the same faulted batch sequence through a deterministic
-// single-threaded merge, so the comparison is exact — and the pooled
-// buffers must all be back after the run (no aliasing after release).
+// same faulted rows one single-row envelope at a time, so every row
+// walks the watermark on its own. Both sides consume the same faulted
+// batch sequence through a deterministic single-threaded merge, so the
+// comparison is exact — and the pooled buffers must all be back after
+// the run (no aliasing after release).
+//
+// The reference is deliberately not RunReplay: a late row is admitted
+// at the first boundary after the merge consumes it, not after its
+// arrival stamp, so per-boundary fed counts legitimately differ from an
+// arrival-ordered replay.
 func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(8 * 3600)
 	const step = Time(900)
@@ -284,8 +281,8 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 	}
 
 	colProc := mkRtecProcessor(t, from, until, ids)
-	itemProc := mkRtecProcessor(t, from, until, ids)
-	var colReports, itemReports []*Report
+	rowProc := mkRtecProcessor(t, from, until, ids)
+	var colReports, rowReports []*Report
 	collect := func(dst *[]*Report, items []streams.Item) {
 		for _, it := range items {
 			rep, ok := it[itemReport].(*Report)
@@ -317,20 +314,16 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 		b := c.next
 		faulted += b.Len()
 
-		// Side B first: materialize the rows as per-item SDEs before
+		// Side B first: copy the rows into single-row envelopes before
 		// side A consumes (and eventually releases) the batch.
 		for i := 0; i < b.Len(); i++ {
-			out, err := itemProc.Process(streams.Item{
-				itemEvent:   rowEvent(b, i),
-				itemArrival: b.Arrivals[i],
-				itemSource:  c.id,
-			})
+			row := streams.GetBatch(b.Type, b.Source)
+			row.AppendRowFrom(b, i)
+			outs, err := rowProc.ProcessBatch(row)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out != nil {
-				collect(&itemReports, []streams.Item{out})
-			}
+			collect(&rowReports, outs)
 		}
 		// Side A: the same batch through the native columnar path.
 		outs, err := colProc.ProcessBatch(b)
@@ -356,16 +349,16 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect(&colReports, colFlush)
-	itemFlush, err := itemProc.Flush()
+	rowFlush, err := rowProc.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect(&itemReports, itemFlush)
+	collect(&rowReports, rowFlush)
 
 	if len(colReports) == 0 {
 		t.Fatal("no reports produced")
 	}
-	compareReports(t, "delay chaos columnar vs per-item", colReports, itemReports)
+	compareReports(t, "delay chaos batches vs single rows", colReports, rowReports)
 	if live := streams.LiveBatches(); live != before {
 		t.Errorf("live batches = %d, want %d: delayed buffers not returned to the pool", live, before)
 	}

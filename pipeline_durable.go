@@ -145,13 +145,10 @@ type walAppender struct {
 	buf []byte
 }
 
-// Process handles the per-item leftovers of batched transport — only
-// EOF punctuation is legal here.
+// Process forwards EOF punctuation; the validators upstream already
+// rejected any other per-item traffic.
 func (a *walAppender) Process(it streams.Item) (streams.Item, error) {
-	if it.Bool(itemEOF) {
-		return it, nil
-	}
-	return nil, fmt.Errorf("insight: durable pipeline requires columnar transport, got per-item SDE from %q", it.String(itemSource))
+	return it, nil
 }
 
 // ProcessBatch logs the envelope, then forwards it. An append failure
@@ -275,9 +272,6 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 
 // buildCheckpoint captures the processor's recovery state.
 func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error) {
-	if len(p.pending) != 0 {
-		return nil, fmt.Errorf("insight: durable checkpoint with %d per-item pending SDEs (columnar transport violated)", len(p.pending))
-	}
 	s := p.system
 	engines, err := s.engines.Snapshot()
 	if err != nil {
@@ -355,13 +349,9 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 // newest valid checkpoint with the log replayed from the checkpoint's
 // offset. The returned RecoveryInfo describes what recovery did.
 //
-// Durable runs require ColumnarTransport (the WAL speaks the columnar
-// codec) and refuse a crowdsourcing-enabled system: participant
+// Durable runs refuse a crowdsourcing-enabled system: participant
 // queries are effectful, so replaying them would re-ask the crowd.
 func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pipeline, *RecoveryInfo, error) {
-	if !s.cfg.ColumnarTransport {
-		return nil, nil, fmt.Errorf("insight: durable pipeline requires ColumnarTransport")
-	}
 	if s.qeeEngine != nil {
 		return nil, nil, fmt.Errorf("insight: durable pipeline cannot drive crowdsourcing (replay would re-query participants)")
 	}

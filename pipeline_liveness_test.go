@@ -60,7 +60,7 @@ func hasString(ss []string, want string) bool {
 }
 
 // TestPipelineLivenessStalledRegion is the headline robustness check:
-// with the scats-north mediator dead from the first SDE on, the
+// with the scats-north mediator dead after its first envelope, the
 // pipeline must still emit a report for every query boundary, flag
 // the degraded stream on each, and recognise the unaffected regions
 // bit-identically to the fault-free run.
@@ -88,7 +88,7 @@ func TestPipelineLivenessStalledRegion(t *testing.T) {
 	}
 
 	// Same city, scats-north dead: the source stalls after its first
-	// item and never recovers.
+	// envelope and never recovers.
 	chaosSys := livenessSystem(t, staleness)
 	chaosPipe, err := chaosSys.BuildChaosPipeline(from, until, ChaosConfig{
 		Streams: map[string]streams.FaultSpec{
@@ -171,11 +171,12 @@ func TestPipelineLivenessRecoveredStream(t *testing.T) {
 	chaosSys := livenessSystem(t, staleness)
 	chaosPipe, err := chaosSys.BuildChaosPipeline(from, until, ChaosConfig{
 		Streams: map[string]streams.FaultSpec{
-			// Stall long enough to trip the staleness bound (the north
-			// stream carries one SDE every ~26 s, so 90 swallowed items
-			// span ~2400 s of virtual time), then reconnect mid-stream
-			// and flood the backlog out.
-			"scats-north": {Seed: 1, StallAfter: 10, StallFor: 90},
+			// Stall long enough to trip the staleness bound (stalls
+			// count batch envelopes, each spanning up to Step/2 = 450 s
+			// of arrivals, so 5 swallowed envelopes cover well over the
+			// 1800 s bound), then reconnect mid-stream and flood the
+			// backlog out.
+			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
 		},
 	})
 	if err != nil {

@@ -24,7 +24,6 @@ func restartSystem(t *testing.T) *System {
 		Seed:               7,
 		WorkingMemory:      1800,
 		Step:               900,
-		ColumnarTransport:  true,
 		WatermarkStaleness: 1800,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,

@@ -4,14 +4,17 @@ import (
 	"context"
 	"testing"
 
+	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
 )
 
 // TestPipelineMatchesDirectRun drives the same city through the
 // Streams data-flow graph (Section 3 architecture) and through the
-// direct Run loop, and checks the recognition outcomes agree: the
-// pipeline's watermark punctuation must deliver exactly the SDEs that
-// have arrived by each query time, like the synchronous loop does.
+// direct Run loop, crowdsourcing feedback loop included, and checks
+// the recognition outcomes agree: the pipeline's watermark punctuation
+// must deliver exactly the SDEs that have arrived by each query time,
+// like the synchronous loop does. The pipeline run must also return
+// every transport buffer to the pool.
 func TestPipelineMatchesDirectRun(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 
@@ -45,6 +48,7 @@ func TestPipelineMatchesDirectRun(t *testing.T) {
 	}
 
 	// Pipeline run.
+	before := streams.LiveBatches()
 	pipelined := mkSystem()
 	pipe, err := pipelined.BuildPipeline(from, until)
 	if err != nil {
@@ -53,6 +57,9 @@ func TestPipelineMatchesDirectRun(t *testing.T) {
 	pipeReports, err := pipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: pipeline run leaked transport buffers", live, before)
 	}
 
 	if len(pipeReports) != len(directReports) {

@@ -302,21 +302,7 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 // from+2·Step, ..., until, calling fn with each report.
 func (s *System) Run(ctx context.Context, from, until Time, fn func(*Report) error) error {
 	s.Start(from, until)
-	for q := from + s.cfg.Step; q <= until; q += s.cfg.Step {
-		rep, err := s.Step(ctx, q)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			if err := fn(rep); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.stepBoundaries(ctx, from, until, fn)
 }
 
 // RunReplay is Run over a pre-recorded stream: it evaluates at the
@@ -324,6 +310,12 @@ func (s *System) Run(ctx context.Context, from, until Time, fn func(*Report) err
 // by their arrival times.
 func (s *System) RunReplay(ctx context.Context, sdes []dublin.SDE, from, until Time, fn func(*Report) error) error {
 	s.StartReplay(sdes)
+	return s.stepBoundaries(ctx, from, until, fn)
+}
+
+// stepBoundaries is the boundary loop of Run and RunReplay over a
+// primed system.
+func (s *System) stepBoundaries(ctx context.Context, from, until Time, fn func(*Report) error) error {
 	for q := from + s.cfg.Step; q <= until; q += s.cfg.Step {
 		rep, err := s.Step(ctx, q)
 		if err != nil {

@@ -89,16 +89,14 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	run := func(shards int, kind rtec.StoreKind) []*Report {
 		t.Helper()
 		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     wm,
-			Step:              wm / 2,
-			Partitions:        1, // single-engine reference when Shards == 0
-			Shards:            shards,
-			Store:             kind,
-			Participants:      testParticipants(city, 8),
-			ColumnarTransport: true,
-			UnpacedReplay:     true,
+			City:          city,
+			Seed:          7,
+			WorkingMemory: wm,
+			Step:          wm / 2,
+			Partitions:    1, // single-engine reference when Shards == 0
+			Shards:        shards,
+			Store:         kind,
+			Participants:  testParticipants(city, 8),
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -250,8 +248,6 @@ func TestShardAutoRebalancePipeline(t *testing.T) {
 			RebalanceFactor:   factor,
 			RebalanceMinMoves: 40,
 			Store:             rtec.StoreColumn,
-			ColumnarTransport: true,
-			UnpacedReplay:     true,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,

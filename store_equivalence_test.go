@@ -50,14 +50,12 @@ func TestColumnStoreMatchesRowStoreGrid(t *testing.T) {
 	run := func(tc traffic.Config, step Time, kind rtec.StoreKind) []*Report {
 		t.Helper()
 		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     wm,
-			Step:              step,
-			Store:             kind,
-			ColumnarTransport: true,
-			UnpacedReplay:     true,
-			Traffic:           tc,
+			City:          city,
+			Seed:          7,
+			WorkingMemory: wm,
+			Step:          step,
+			Store:         kind,
+			Traffic:       tc,
 		})
 		if err != nil {
 			t.Fatal(err)
