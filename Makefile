@@ -42,22 +42,25 @@ lint-json:
 # full module under the race detector (engine, rule sets, streams
 # supervision/shutdown, columnar batch equivalence/chaos tests, blocked
 # linalg worker pools, parallel grid search — including the
-# crash-equivalence campaign: 20+ WAL kills, torn/corrupt/fsync-crashed
-# checkpoints and a torn log tail in one run, recovered output
+# crash-equivalence campaigns on the partitioned and the rebalancing
+# two-shard tier: 20+ WAL kills, torn/corrupt/fsync-crashed
+# checkpoints and a torn log tail per run, recovered output
 # bit-identical to the uninterrupted run), re-run the crash gate
 # race-free so its assertions are exercised under both schedulers, gate
 # the columnar ingest path against the committed allocation budget and
-# the column-resident store against the committed resident bytes/event
-# advantage over the row store (the race detector inflates allocation
-# counts, so those gates run in a separate non-race pass), re-run the
-# shard-equivalence gate race-free (the N ∈ {1,2,4,8} × both-store grid
-# under chaos, the mid-run rebalance determinism tests and the tier
-# snapshot round-trip; the race pass above already exercises them under
-# the race scheduler), run the e2ebench module's own tests (it is a
-# separate module, so ./... above does not reach it, and a public-API
-# change that breaks the benchmark must fail here), and finish with a
-# short fuzz pass over the factorization/solve, WAL-decode, store
-# block-merge, shard-assignment and checkpoint-decode targets. The
+# the working memory against the committed resident-bytes ceiling (the
+# race detector inflates allocation counts, so those gates run in a
+# separate non-race pass), re-run the Dublin store-equivalence gate
+# (column store vs the test-only reference store, every rule set × step
+# under drop/dup and drop/delay faults) and the shard-equivalence gate
+# race-free (the N ∈ {1,2,4,8} grid under chaos, the mid-run rebalance
+# determinism tests and the tier snapshot round-trip; the race pass
+# above already exercises them under the race scheduler), run the
+# e2ebench module's own tests (it is a separate module, so ./... above
+# does not reach it, and a public-API change that breaks the benchmark
+# must fail here), and finish with a short fuzz pass over the
+# factorization/solve, WAL-decode, store block-merge (column store vs
+# reference store), shard-assignment and checkpoint-decode targets. The
 # checkpoint target caps minimization at 2 s: its seeds are ~10 KB
 # real checkpoints, and the default 60 s spent shrinking each new
 # corpus entry would eat the whole fuzz budget.
@@ -66,6 +69,7 @@ check: lint
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence' -count=1 .
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget' -count=1 .
+	$(GO) test -run 'TestDublinStoreMatchesReference' -count=1 ./rtec
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip' -count=1 .
 	cd e2ebench && $(GO) test ./...
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg

@@ -46,10 +46,6 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-// storeKind is the working-memory representation every benchmark mode
-// builds its engines with (-store flag).
-var storeKind rtec.StoreKind
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtecbench: ")
@@ -63,18 +59,8 @@ func main() {
 		stepMin = flag.Int("step", 0, "query step in minutes; 0 = one window per measurement, >0 = sliding-window regime")
 		full    = flag.Bool("full", false, "disable incremental overlap caching (full recompute baseline)")
 		batch   = flag.Bool("batch", false, "compare map-decode vs columnar-block ingest (uses the first -wm entry)")
-		store   = flag.String("store", "row", "RTEC working-memory store: row (per-event records) or column (resident column blocks)")
 	)
 	flag.Parse()
-
-	switch *store {
-	case "row":
-		storeKind = rtec.StoreRow
-	case "column":
-		storeKind = rtec.StoreColumn
-	default:
-		log.Fatalf("invalid -store %q (want row or column)", *store)
-	}
 
 	var wms []int
 	for _, part := range strings.Split(*wmList, ",") {
@@ -164,7 +150,7 @@ func main() {
 			log.Fatal(err)
 		}
 		part, err := rtec.NewPartitioned(defs,
-			rtec.Options{WorkingMemory: wm, Step: wm, Profile: true, Store: storeKind},
+			rtec.Options{WorkingMemory: wm, Step: wm, Profile: true},
 			4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
 		if err != nil {
 			log.Fatal(err)
@@ -227,7 +213,7 @@ func runBatch(city *dublin.City, reg *traffic.Registry, wm rtec.Time, buses, sen
 		// Profile turns on the resident-store accounting; it only adds
 		// work inside Query, which the feed timer never covers.
 		part, err := rtec.NewPartitioned(defs,
-			rtec.Options{WorkingMemory: wm, Step: wm, Profile: true, Store: storeKind},
+			rtec.Options{WorkingMemory: wm, Step: wm, Profile: true},
 			4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
 		if err != nil {
 			log.Fatal(err)
@@ -379,7 +365,7 @@ func measure(reg *traffic.Registry, adaptive bool, wm, from rtec.Time, events []
 	var total time.Duration
 	for r := 0; r < runs; r++ {
 		part, err := rtec.NewPartitioned(defs,
-			rtec.Options{WorkingMemory: wm, Step: wm, ForceFullRecompute: full, Store: storeKind},
+			rtec.Options{WorkingMemory: wm, Step: wm, ForceFullRecompute: full},
 			4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
 		if err != nil {
 			log.Fatal(err)
@@ -412,7 +398,7 @@ func measureSliding(reg *traffic.Registry, adaptive bool, wm, step, from rtec.Ti
 	var total time.Duration
 	for r := 0; r < runs; r++ {
 		part, err := rtec.NewPartitioned(defs,
-			rtec.Options{WorkingMemory: wm, Step: step, ForceFullRecompute: full, Store: storeKind},
+			rtec.Options{WorkingMemory: wm, Step: step, ForceFullRecompute: full},
 			4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
 		if err != nil {
 			log.Fatal(err)

@@ -25,7 +25,6 @@ import (
 
 	insight "github.com/insight-dublin/insight"
 	"github.com/insight-dublin/insight/dublin"
-	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/traffic"
 )
 
@@ -73,7 +72,6 @@ func main() {
 			WorkingMemory:   1800,
 			Step:            step,
 			Shards:          shards,
-			Store:           rtec.StoreColumn,
 			ShardSerialEval: true,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,

@@ -109,11 +109,8 @@ type Config struct {
 	WatermarkStaleness Time
 	// Seed drives the crowdsourcing simulation.
 	Seed int64
-	// Store selects the RTEC working-memory representation for every
-	// partition engine: rtec.StoreRow (the default) keeps one Event per
-	// stored SDE, rtec.StoreColumn keeps per-type column blocks with
-	// row-id key indexes (lower resident memory, identical recognition
-	// output — see DESIGN.md, "Columnar store internals").
+	// Deprecated: ignored; every engine keeps its working memory in
+	// the column-resident store.
 	Store rtec.StoreKind
 	// Deprecated: ignored; the pipeline always moves SDEs as typed
 	// columnar batches (streams.Batch).
@@ -204,7 +201,6 @@ func New(cfg Config) (*System, error) {
 		part, err := rtec.NewPartitioned(defs, rtec.Options{
 			WorkingMemory: cfg.WorkingMemory,
 			Step:          cfg.Step,
-			Store:         cfg.Store,
 		}, cfg.Partitions, func(e rtec.Event) int {
 			return dublin.PartitionOf(e) % cfg.Partitions
 		})

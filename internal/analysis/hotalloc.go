@@ -15,7 +15,7 @@ import (
 // builds result maps.
 var hotPathFuncs = map[string]*regexp.Regexp{
 	"internal/linalg": regexp.MustCompile(`.*`),
-	"rtec":            regexp.MustCompile(`^(window|windowForKey|sliceSpan|trimBefore|evict|dirtyFloor|insertSorted|dot4|rows|rowsForKey|countInSpan|idBounds|trimIDs)$`),
+	"rtec":            regexp.MustCompile(`^(sliceSpan|evict|dirtyFloor|rows|rowsForKey|countInSpan|idBounds|trimIDs)$`),
 }
 
 // batchPathFuncs maps packages to the functions forming the columnar
@@ -25,7 +25,7 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // reverts the batch path to per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
-	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol)$`),
+	"rtec":    regexp.MustCompile(`^(inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol)$`),
 	"insight": regexp.MustCompile(`^(admitRows|ProcessBatch)$`),
 }
 

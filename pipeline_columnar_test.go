@@ -101,35 +101,60 @@ func survivingSDEs(t *testing.T, city *dublin.City, from, until, step Time, spec
 	return sdes, dropped, duplicated
 }
 
+// gridRuleSets and gridSteps span the chaos grids: every rule-set
+// variant of the Dublin deployment crossed with query steps from one
+// window (gridWM) down to a quarter window.
+var gridRuleSets = []struct {
+	name string
+	cfg  traffic.Config
+}{
+	{"crowd-validated", traffic.Config{NoisyPolicy: traffic.CrowdValidated}},
+	{"pessimistic-adaptive", traffic.Config{NoisyPolicy: traffic.Pessimistic, Adaptive: true}},
+	{"structured", traffic.Config{NoisyPolicy: traffic.Pessimistic, StructuredIntersections: true}},
+}
+
+const gridWM = Time(1800)
+
+var gridSteps = []Time{gridWM, gridWM / 2, gridWM / 4}
+
+// pessimisticAdaptive is the rule set the single-cell chaos tests run.
+var pessimisticAdaptive = traffic.Config{NoisyPolicy: traffic.Pessimistic, Adaptive: true}
+
+// chaosSpecs builds one seeded fault spec per pipeline stream: stream
+// i gets seed base+i*stride and the given fault mix.
+func chaosSpecs(base, stride int64, mix streams.FaultSpec) map[string]streams.FaultSpec {
+	specs := make(map[string]streams.FaultSpec, len(pipelineStreamIDs))
+	for i, id := range pipelineStreamIDs {
+		spec := mix
+		spec.Seed = base + int64(i)*stride
+		specs[id] = spec
+	}
+	return specs
+}
+
 // TestChaosDropDupMatchesReplay runs the full chaos pipeline with
 // row-level drops and duplicates on every input stream and checks it
 // against the direct replay loop (System.RunReplay) over exactly the
 // rows the same seeded injectors let through: the pipeline's watermark
 // admission must deliver what an arrival-ordered replay of the faulted
-// streams delivers, boundary by boundary.
+// streams delivers, boundary by boundary. This is the pinned cell;
+// TestColumnStoreMatchesRowStoreGrid runs the same check on every rule
+// set × step cell of the grid.
 func TestChaosDropDupMatchesReplay(t *testing.T) {
-	const from, until = Time(7 * 3600), Time(8 * 3600)
-	const step = Time(900)
-	city := testCity(t)
+	checkDropDupMatchesReplay(t, testCity(t), pessimisticAdaptive, 900,
+		chaosSpecs(100, 7, streams.FaultSpec{DropProb: 0.05, DupProb: 0.05}))
+}
 
-	specs := make(map[string]streams.FaultSpec, len(pipelineStreamIDs))
-	for i, id := range pipelineStreamIDs {
-		specs[id] = streams.FaultSpec{
-			Seed:     100 + int64(i)*7,
-			DropProb: 0.05,
-			DupProb:  0.05,
-		}
-	}
+func checkDropDupMatchesReplay(t *testing.T, city *dublin.City, tc traffic.Config, step Time, specs map[string]streams.FaultSpec) {
+	t.Helper()
+	const from, until = Time(7 * 3600), Time(8 * 3600)
 	mkSystem := func() *System {
 		sys, err := New(Config{
 			City:          city,
 			Seed:          7,
-			WorkingMemory: 1800,
+			WorkingMemory: gridWM,
 			Step:          step,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
+			Traffic:       tc,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -171,6 +196,9 @@ func TestChaosDropDupMatchesReplay(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if len(want) == 0 {
+		t.Fatal("replay produced no reports")
+	}
 	compareReports(t, "chaos pipeline vs replay", reports, want)
 }
 
@@ -187,25 +215,22 @@ func rowEvent(b *streams.Batch, i int) rtec.Event {
 
 // mkRtecProcessor builds the monitoring processor the way
 // buildPipeline does, over a fresh crowdless system.
-func mkRtecProcessor(t *testing.T, from, until Time, ids []string) *rtecProcessor {
+func mkRtecProcessor(t *testing.T, city *dublin.City, tc traffic.Config, step, from, until Time, ids []string) *rtecProcessor {
 	t.Helper()
 	sys, err := New(Config{
-		City:          testCity(t),
+		City:          city,
 		Seed:          7,
-		WorkingMemory: 1800,
-		Step:          900,
-		Traffic: traffic.Config{
-			NoisyPolicy: traffic.Pessimistic,
-			Adaptive:    true,
-		},
+		WorkingMemory: gridWM,
+		Step:          step,
+		Traffic:       tc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &rtecProcessor{
 		system:     sys,
-		step:       sys.cfg.Step,
-		nextQ:      from + sys.cfg.Step,
+		step:       step,
+		nextQ:      from + step,
 		until:      until,
 		watermarks: make(map[string]Time, len(ids)),
 		degraded:   make(map[string]bool),
@@ -220,68 +245,31 @@ func mkRtecProcessor(t *testing.T, from, until Time, ids []string) *rtecProcesso
 // contract: a seeded fault mix including out-of-order re-delivery over
 // batched transport must yield CE output identical to feeding the very
 // same faulted rows one single-row envelope at a time, so every row
-// walks the watermark on its own. Both sides consume the same faulted
-// batch sequence through a deterministic single-threaded merge, so the
-// comparison is exact — and the pooled buffers must all be back after
-// the run (no aliasing after release).
+// walks the watermark on its own. This is the pinned cell (drops,
+// duplicates and delays); TestColumnStoreMatchesRowStoreDelayed runs
+// the same check (drops and delays) on every rule set × step cell of
+// the grid. Both sides consume the same faulted batch sequence through
+// a deterministic single-threaded merge, so the comparison is exact —
+// and the pooled buffers must all be back after the run (no aliasing
+// after release).
 //
 // The reference is deliberately not RunReplay: a late row is admitted
 // at the first boundary after the merge consumes it, not after its
 // arrival stamp, so per-boundary fed counts legitimately differ from an
 // arrival-ordered replay.
 func TestColumnarChaosDelayRoundTrip(t *testing.T) {
+	checkDelayRoundTrip(t, testCity(t), pessimisticAdaptive, 900,
+		chaosSpecs(500, 13, streams.FaultSpec{DropProb: 0.03, DupProb: 0.03, DelayProb: 0.08, DelayMax: 4}))
+}
+
+func checkDelayRoundTrip(t *testing.T, city *dublin.City, tc traffic.Config, step Time, specs map[string]streams.FaultSpec) {
+	t.Helper()
 	const from, until = Time(7 * 3600), Time(8 * 3600)
-	const step = Time(900)
 
 	before := streams.LiveBatches()
-	city := testCity(t)
-	bstreams := city.CollectBatches(from, until, 512, step/2)
-	ids := make([]string, 0, len(bstreams))
-
-	// One seeded injector per stream: drops, duplicates and held-back
-	// rows re-delivered out of order.
-	type cursor struct {
-		id   string
-		src  *streams.ChaosSource
-		next *streams.Batch
-		done bool
-	}
-	cursors := make([]*cursor, 0, len(bstreams))
-	for i, bs := range bstreams {
-		ids = append(ids, bs.ID)
-		items := make([]streams.Item, 0, len(bs.Batches))
-		for _, b := range bs.Batches {
-			items = append(items, streams.BatchItem(b))
-		}
-		cursors = append(cursors, &cursor{
-			id: bs.ID,
-			src: streams.NewChaosSource(streams.NewSliceSource(items...), streams.FaultSpec{
-				Seed:      500 + int64(i)*13,
-				DropProb:  0.03,
-				DupProb:   0.03,
-				DelayProb: 0.08,
-				DelayMax:  4,
-			}),
-		})
-	}
-	advance := func(c *cursor) {
-		it, ok := c.src.Read()
-		if !ok {
-			c.next, c.done = nil, true
-			return
-		}
-		b, isBatch := streams.ItemBatch(it)
-		if !isBatch {
-			t.Fatalf("stream %s: injector emitted a non-batch item", c.id)
-		}
-		c.next = b
-	}
-	for _, c := range cursors {
-		advance(c)
-	}
-
-	colProc := mkRtecProcessor(t, from, until, ids)
-	rowProc := mkRtecProcessor(t, from, until, ids)
+	merged := newChaosMerge(t, city, from, until, step, specs)
+	colProc := mkRtecProcessor(t, city, tc, step, from, until, merged.ids)
+	rowProc := mkRtecProcessor(t, city, tc, step, from, until, merged.ids)
 	var colReports, rowReports []*Report
 	collect := func(dst *[]*Report, items []streams.Item) {
 		for _, it := range items {
@@ -293,27 +281,9 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Deterministic merge: always consume the batch with the smallest
-	// head arrival (ties by stream order) — one fixed interleaving both
-	// sides see.
 	faulted := 0
-	for {
-		pick := -1
-		for i, c := range cursors {
-			if c.done {
-				continue
-			}
-			if pick < 0 || c.next.Arrivals[0] < cursors[pick].next.Arrivals[0] {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		c := cursors[pick]
-		b := c.next
+	for b := merged.next(); b != nil; b = merged.next() {
 		faulted += b.Len()
-
 		// Side B first: copy the rows into single-row envelopes before
 		// side A consumes (and eventually releases) the batch.
 		for i := 0; i < b.Len(); i++ {
@@ -331,16 +301,11 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		collect(&colReports, outs)
-		advance(c)
 	}
 	if faulted == 0 {
 		t.Fatal("no rows survived fault injection")
 	}
-	delayed := 0
-	for _, c := range cursors {
-		delayed += c.src.Stats().Delayed
-	}
-	if delayed == 0 {
+	if merged.delayed() == 0 {
 		t.Fatal("no rows were re-ordered: delay injection inert")
 	}
 
@@ -362,4 +327,82 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 	if live := streams.LiveBatches(); live != before {
 		t.Errorf("live batches = %d, want %d: delayed buffers not returned to the pool", live, before)
 	}
+}
+
+// chaosMerge replays the city's batch envelopes for one window through
+// one seeded injector per stream and merges the faulted streams
+// deterministically: always the batch with the smallest head arrival
+// next, ties by stream order — one fixed interleaving every consumer
+// sees.
+type chaosMerge struct {
+	t       *testing.T
+	ids     []string
+	cursors []*chaosCursor
+}
+
+type chaosCursor struct {
+	id   string
+	src  *streams.ChaosSource
+	next *streams.Batch
+	done bool
+}
+
+func newChaosMerge(t *testing.T, city *dublin.City, from, until, step Time, specs map[string]streams.FaultSpec) *chaosMerge {
+	t.Helper()
+	m := &chaosMerge{t: t}
+	for _, bs := range city.CollectBatches(from, until, 512, step/2) {
+		m.ids = append(m.ids, bs.ID)
+		items := make([]streams.Item, 0, len(bs.Batches))
+		for _, b := range bs.Batches {
+			items = append(items, streams.BatchItem(b))
+		}
+		c := &chaosCursor{id: bs.ID, src: streams.NewChaosSource(streams.NewSliceSource(items...), specs[bs.ID])}
+		m.advance(c)
+		m.cursors = append(m.cursors, c)
+	}
+	return m
+}
+
+func (m *chaosMerge) advance(c *chaosCursor) {
+	it, ok := c.src.Read()
+	if !ok {
+		c.next, c.done = nil, true
+		return
+	}
+	b, isBatch := streams.ItemBatch(it)
+	if !isBatch {
+		m.t.Fatalf("stream %s: injector emitted a non-batch item", c.id)
+	}
+	c.next = b
+}
+
+// next returns the next batch of the merged sequence, or nil at the
+// end of every stream.
+func (m *chaosMerge) next() *streams.Batch {
+	pick := -1
+	for i, c := range m.cursors {
+		if c.done {
+			continue
+		}
+		if pick < 0 || c.next.Arrivals[0] < m.cursors[pick].next.Arrivals[0] {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return nil
+	}
+	c := m.cursors[pick]
+	b := c.next
+	m.advance(c)
+	return b
+}
+
+// delayed is the number of rows the injectors held back and
+// re-delivered out of order.
+func (m *chaosMerge) delayed() int {
+	n := 0
+	for _, c := range m.cursors {
+		n += c.src.Stats().Delayed
+	}
+	return n
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
-	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
 )
@@ -17,17 +16,12 @@ import (
 // tests: crowdless (replay must not re-query participants) with a
 // strict watermark (no degradation possible, so recognition output is
 // a pure function of the SDE collection).
-// The column-resident store is selected so the whole durability suite
-// — checkpoints, crash recovery, fingerprint equivalence — runs
-// against the block-native working memory (checkpoints themselves are
-// store-representation-independent, see rtec snapshots).
 func durableConfig(city *dublin.City) Config {
 	return Config{
 		City:          city,
 		Seed:          7,
 		WorkingMemory: 1800,
 		Step:          900,
-		Store:         rtec.StoreColumn,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,
 			Adaptive:    true,
@@ -170,9 +164,11 @@ func TestDurableRejectsUnsupportedSystems(t *testing.T) {
 // post-rename-corrupted and after-rename checkpoint crashes, and a
 // combined torn-checkpoint-plus-torn-tail epoch — after which the
 // union of everything the crashing runs emitted must fingerprint
-// bit-identically to one uninterrupted run.
+// bit-identically to one uninterrupted run. The campaign runs twice:
+// on the legacy partitioned tier, and on the two-shard tier with
+// skew-driven rebalancing migrating keys mid-run, so checkpoints carry
+// tier state (routing overrides, rebalance counter) across the kills.
 func TestCrashEquivalence(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
 	city, err := dublin.NewCity(dublin.Config{
 		Seed:             42,
 		NumBuses:         24,
@@ -183,21 +179,54 @@ func TestCrashEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A finer step halves the batch span cap, roughly doubling the
+	// number of WAL records in the window — enough that 20 kill epochs
+	// (each of which must durably advance past at least one record) can
+	// spread across the log without exhausting it.
+	crashConfig := func() Config {
+		cfg := durableConfig(city)
+		cfg.Step = 450
+		return cfg
+	}
+
+	t.Run("partitioned", func(t *testing.T) {
+		checkCrashCampaign(t, func() (*System, error) { return New(crashConfig()) })
+	})
+
+	t.Run("sharded-rebalance", func(t *testing.T) {
+		// RunCrashCampaign builds its uninterrupted baseline system
+		// first, so systems[0] is the baseline.
+		var systems []*System
+		checkCrashCampaign(t, func() (*System, error) {
+			cfg := crashConfig()
+			cfg.Shards = 2
+			cfg.RebalanceFactor = 1.01
+			cfg.RebalanceMinMoves = 16
+			sys, err := New(cfg)
+			systems = append(systems, sys)
+			return sys, err
+		})
+		n := systems[0].ShardRebalances()
+		if n < 1 {
+			t.Errorf("baseline rebalances = %d, want >= 1: no mid-run migration to crash across", n)
+		}
+		t.Logf("baseline rebalances: %d", n)
+	})
+}
+
+// checkCrashCampaign runs a 20-kill crash campaign over systems built
+// by newSystem and asserts crash equivalence, full fault coverage and
+// incremental recovery.
+func checkCrashCampaign(t *testing.T, newSystem func() (*System, error)) {
+	t.Helper()
+	const from, until = 7 * 3600, 8 * 3600
 	res, err := RunCrashCampaign(context.Background(), CampaignOptions{
-		// A finer step halves the batch span cap, roughly doubling the
-		// number of WAL records in the window — enough that 20 kill
-		// epochs (each of which must durably advance past at least one
-		// record) can spread across the log without exhausting it.
-		NewSystem: func() (*System, error) {
-			cfg := durableConfig(city)
-			cfg.Step = 450
-			return New(cfg)
-		},
-		From:  from,
-		Until: until,
-		Dir:   t.TempDir(),
-		Kills: 20,
-		Seed:  1,
+		NewSystem: newSystem,
+		From:      from,
+		Until:     until,
+		Dir:       t.TempDir(),
+		Kills:     20,
+		Seed:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

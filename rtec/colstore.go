@@ -6,11 +6,9 @@ import (
 	"sort"
 )
 
-// columnStore is the columnar-resident working memory: instead of
-// exploding every ingested block into 72-byte Event rows (duplicated
-// once more by the per-key index), each SDE type keeps one resident
-// column segment — packed time, key-id and attribute columns — plus
-// two row-id indexes:
+// columnStore is the engine's working memory, kept column-resident:
+// each SDE type keeps one resident column segment — packed time,
+// key-id and attribute columns — plus two row-id indexes:
 //
 //   - order: the (time, arrival)-sorted view of the live rows. The
 //     columns themselves are strictly append-only between compactions,
@@ -18,12 +16,11 @@ import (
 //     arrivals splice into order (and the per-key lists), never into
 //     the columns.
 //   - byKid: per key id, the row ids of that key's events,
-//     time-sorted. Replaces the per-key Event copies of the row store
-//     with 4 bytes per event.
+//     time-sorted: 4 bytes per event instead of a per-key Event copy.
 //
 // Arrival order is the row-id order: ids grow monotonically, so
-// keeping existing ids ahead of new ones on time ties reproduces the
-// row store's arrival-stable order exactly.
+// keeping existing ids ahead of new ones on time ties yields the
+// arrival-stable order the sdeStore contract demands.
 //
 // Eviction trims the order prefix and the per-key lists; the dead
 // rows stay in the columns until they outnumber the live ones, at
@@ -70,7 +67,7 @@ type colSeg struct {
 	kids map[string]uint32
 }
 
-func newColumnStore() *columnStore {
+func newColumnStore() sdeStore {
 	return &columnStore{types: make(map[string]*colBucket)}
 }
 
@@ -134,7 +131,7 @@ func (s *columnStore) insert(ev Event, late bool) {
 
 // spliceID places id after every id with an occurrence time <= its
 // own. New ids are always larger than stored ones, so on time ties the
-// existing ids stay ahead — (time, arrival) order, like insertSorted.
+// existing ids stay ahead — (time, arrival) order.
 func spliceID(ids []int32, times []int64, id int32) []int32 {
 	t := times[id]
 	n := len(ids)
@@ -440,7 +437,9 @@ func gatherCol(c *BCol, ids []int32) *BCol {
 }
 
 // dirtyFloor returns the earliest late-arrival time across the given
-// SDE types (see eventStore.dirtyFloor — the contract is shared).
+// SDE types, or MaxTime if none of them received late events since the
+// last query. Cached rule outputs the late region can influence (at or
+// after floor − effective lookahead) must be recomputed.
 func (s *columnStore) dirtyFloor(sdeTypes map[string]bool) Time {
 	floor := MaxTime
 	for typ := range sdeTypes {
@@ -451,6 +450,8 @@ func (s *columnStore) dirtyFloor(sdeTypes map[string]bool) Time {
 	return floor
 }
 
+// clearDirty resets the late watermarks; the engine calls it once per
+// completed query.
 func (s *columnStore) clearDirty() {
 	for _, b := range s.types {
 		b.lateMin = MaxTime
@@ -477,9 +478,9 @@ func (s *columnStore) residentBytes() uint64 {
 }
 
 // snapshotTypes flattens the live rows, in order, to the canonical
-// row-oriented snapshot form — byte-identical to what the row store
-// produces for the same state, which is what keeps checkpointed
-// recovery store-independent.
+// row-oriented snapshot form — a function of the logical store state
+// only (no row ids, dictionaries or dead rows), which is what keeps
+// checkpoints independent of the physical layout.
 func (s *columnStore) snapshotTypes() ([]TypeSnapshot, error) {
 	types := make([]string, 0, len(s.types))
 	for typ := range s.types {

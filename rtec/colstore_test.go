@@ -161,8 +161,7 @@ func rowsToBlock(rows []equivRow, withKIdx bool) *Block {
 	return b
 }
 
-// equivEngines builds one engine per (store kind, delivery mode)
-// combination.
+// equivEngine is one (store, delivery mode) combination under test.
 type equivEngine struct {
 	name  string
 	e     *Engine
@@ -170,24 +169,39 @@ type equivEngine struct {
 	kidx  bool // blocks carry a key dictionary
 }
 
+// newEquivEngines builds one engine per (store, delivery mode)
+// combination, the reference store first: compareAt compares every
+// other engine against engines[0].
 func newEquivEngines(t testing.TB, opts Options) []equivEngine {
 	t.Helper()
-	mk := func(kind StoreKind) *Engine {
-		o := opts
-		o.Store = kind
-		e, err := NewEngine(colEquivDefs(t), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
 	return []equivEngine{
-		{name: "row/item", e: mk(StoreRow)},
-		{name: "row/block", e: mk(StoreRow), block: true, kidx: true},
-		{name: "column/item", e: mk(StoreColumn)},
-		{name: "column/block", e: mk(StoreColumn), block: true, kidx: true},
-		{name: "column/block-nokidx", e: mk(StoreColumn), block: true},
+		{name: "reference/item", e: newStoreEngine(t, storeReference, opts)},
+		{name: "reference/block", e: newStoreEngine(t, storeReference, opts), block: true, kidx: true},
+		{name: "column/item", e: newStoreEngine(t, storeColumn, opts)},
+		{name: "column/block", e: newStoreEngine(t, storeColumn, opts), block: true, kidx: true},
+		{name: "column/block-nokidx", e: newStoreEngine(t, storeColumn, opts), block: true},
 	}
+}
+
+// The working memories the equivalence tests run: the engine's column
+// store and the naive reference store of refstore_test.go.
+const (
+	storeReference = "reference"
+	storeColumn    = "column"
+)
+
+// newStoreEngine builds a colEquivDefs engine on the named store.
+func newStoreEngine(t testing.TB, store string, opts Options) *Engine {
+	t.Helper()
+	mk := NewEngine
+	if store == storeReference {
+		mk = NewReferenceEngine
+	}
+	e, err := mk(colEquivDefs(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func deliverChunk(t testing.TB, ee equivEngine, chunk []equivRow) {
@@ -208,12 +222,18 @@ func deliverChunk(t testing.TB, ee equivEngine, chunk []equivRow) {
 }
 
 // compareAt queries every engine at q and demands identical
-// recognition output, stats and store snapshots.
+// recognition output, stats and store snapshots — taken before the
+// query too, while they still carry the dirty watermarks of the late
+// arrivals since the last one (the query clears them).
 func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
 	t.Helper()
 	var ref *Result
-	var refSnap *EngineSnapshot
+	var refPre, refSnap *EngineSnapshot
 	for _, ee := range engines {
+		pre, err := ee.e.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: %s: snapshot: %v", label, ee.name, err)
+		}
 		res, err := ee.e.Query(q)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, ee.name, err)
@@ -223,8 +243,12 @@ func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
 			t.Fatalf("%s: %s: snapshot: %v", label, ee.name, err)
 		}
 		if ref == nil {
-			ref, refSnap = res, snap
+			ref, refPre, refSnap = res, pre, snap
 			continue
+		}
+		if !reflect.DeepEqual(refPre, pre) {
+			t.Fatalf("%s: %s pre-query snapshot differs from %s:\nref: %+v\ngot: %+v",
+				label, ee.name, engines[0].name, refPre, pre)
 		}
 		if !reflect.DeepEqual(ref.Fluents, res.Fluents) {
 			t.Fatalf("%s: %s fluents differ from %s:\nref: %v\ngot: %v",
@@ -248,14 +272,14 @@ func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
 	}
 }
 
-// TestColumnStoreMatchesEventStore is the randomized store-equivalence
+// TestColumnStoreMatchesReference is the randomized store-equivalence
 // property: the same delayed, out-of-order stream delivered per-item
-// and as columnar blocks (with and without key dictionaries) into
-// row-resident and column-resident engines must produce bit-identical
-// recognition output and bit-identical snapshots at every query — over
-// enough windows that eviction, segment compaction and the overlap
-// merge all trigger repeatedly.
-func TestColumnStoreMatchesEventStore(t *testing.T) {
+// and as columnar blocks (with and without key dictionaries) into the
+// column store and the naive reference store must produce
+// bit-identical recognition output and bit-identical snapshots at
+// every query — over enough windows that eviction, segment compaction
+// and the overlap merge all trigger repeatedly.
+func TestColumnStoreMatchesReference(t *testing.T) {
 	const (
 		wm   = Time(60)
 		step = Time(20)
@@ -295,12 +319,18 @@ func TestColumnStoreMatchesEventStore(t *testing.T) {
 // FuzzMergeBlock drives the same randomized equivalence from fuzzed
 // bytes: each 4-byte group is one row (time delta, key, attribute
 // selector, value), every third chunk boundary queries and compares.
-// This pins insertRows — bulk column append, order merge, per-key
-// filing, with and without KIdx — to row-by-row insert on both stores.
+// This pins the column store's insertRows — bulk column append, order
+// merge, per-key filing, with and without KIdx — and its row-by-row
+// insert to the reference store.
 func FuzzMergeBlock(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 50, 1, 2, 3, 9, 9, 0xff, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{200, 5, 7, 9, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
+	// A long pseudo-random seed runs the full 64 chunks: enough windows
+	// for late blocks, time ties, eviction and segment compaction.
+	long := make([]byte, 1024)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
@@ -356,20 +386,18 @@ func FuzzMergeBlock(f *testing.F) {
 
 // TestSnapshotRoundTripLateMin pins the dirty watermark across
 // save/restore for every (source store, destination store) pair: a
-// snapshot taken after late arrivals must restore — into either store
-// kind — with the watermark intact, so the first post-restore query
-// recomputes the late region exactly like the uninterrupted engine.
+// snapshot taken after late arrivals must restore — into either the
+// column or the reference store — with the watermark intact, so the
+// first post-restore query recomputes the late region exactly like the
+// uninterrupted engine. That snapshots are independent of the store is
+// what this pins.
 func TestSnapshotRoundTripLateMin(t *testing.T) {
-	kinds := []StoreKind{StoreRow, StoreColumn}
-	for _, src := range kinds {
-		for _, dst := range kinds {
-			t.Run(fmt.Sprintf("%v-to-%v", src, dst), func(t *testing.T) {
+	stores := []string{storeReference, storeColumn}
+	for _, src := range stores {
+		for _, dst := range stores {
+			t.Run(src+"-to-"+dst, func(t *testing.T) {
 				opts := Options{WorkingMemory: 40, Step: 10, RuleWorkers: 1}
-				opts.Store = src
-				e, err := NewEngine(colEquivDefs(t), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				e := newStoreEngine(t, src, opts)
 				feed := func(e *Engine, rows ...equivRow) {
 					t.Helper()
 					for _, r := range rows {
@@ -399,19 +427,14 @@ func TestSnapshotRoundTripLateMin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ropts := opts
-				ropts.Store = dst
-				r, err := NewEngine(colEquivDefs(t), ropts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := newStoreEngine(t, dst, opts)
 				if err := r.Restore(snap); err != nil {
 					t.Fatal(err)
 				}
 				if got := r.store.dirtyFloor(map[string]bool{"reading": true}); got != wantFloor {
 					t.Fatalf("restored dirty floor = %d, want %d", int64(got), int64(wantFloor))
 				}
-				// Restored snapshots are idempotent across store kinds.
+				// Restored snapshots are idempotent across stores.
 				snap2, err := r.Snapshot()
 				if err != nil {
 					t.Fatal(err)

@@ -257,79 +257,3 @@ func (b *Block) boolAt(name string, row int) (bool, bool) {
 	}
 	return false, false
 }
-
-// copyRows gathers the given rows of src into a freshly allocated
-// block the engine owns. Column kinds and names carry over; string
-// dictionaries are copied whole and the row indexes gathered, so no
-// re-interning (and no hashing at all) happens per row.
-func copyRows(src *Block, rows []int32) *Block {
-	n := len(rows)
-	dst := &Block{
-		Type:  src.Type,
-		Times: make([]int64, n),
-		Keys:  make([]string, n),
-		Cols:  make([]BCol, len(src.Cols)),
-	}
-	for j, r := range rows {
-		dst.Times[j] = src.Times[r]
-		dst.Keys[j] = src.Keys[r]
-	}
-	if src.KIdx != nil {
-		// Gather the key ids and alias the dictionary: both are only
-		// read during the insertion that immediately follows, and the
-		// source block is live for that long by contract (the caller
-		// may recycle it only after InputBlock returns). inputBlock
-		// drops them afterwards so the owned block never pins the
-		// transport dictionary.
-		dst.KIdx = make([]uint32, n)
-		for j, r := range rows {
-			dst.KIdx[j] = src.KIdx[r]
-		}
-		dst.KDict = src.KDict
-	}
-	for ci := range src.Cols {
-		sc := &src.Cols[ci]
-		dc := &dst.Cols[ci]
-		dc.Name, dc.Kind = sc.Name, sc.Kind
-		switch sc.Kind {
-		case ColFloat:
-			dc.F = make([]float64, n)
-			for j, r := range rows {
-				dc.F[j] = sc.F[r]
-			}
-		case ColInt:
-			dc.I = make([]int64, n)
-			for j, r := range rows {
-				dc.I[j] = sc.I[r]
-			}
-		case ColBool:
-			dc.B = make([]bool, n)
-			for j, r := range rows {
-				dc.B[j] = sc.B[r]
-			}
-		case ColIntGo:
-			dc.N = make([]int, n)
-			for j, r := range rows {
-				dc.N[j] = sc.N[r]
-			}
-		case ColAny:
-			dc.A = make([]any, n)
-			for j, r := range rows {
-				dc.A[j] = sc.A[r]
-			}
-		default:
-			dc.Dict = append([]string(nil), sc.Dict...)
-			dc.SIdx = make([]uint32, n)
-			for j, r := range rows {
-				dc.SIdx[j] = sc.SIdx[r]
-			}
-		}
-		if sc.Present != nil {
-			dc.Present = make([]bool, n)
-			for j, r := range rows {
-				dc.Present[j] = sc.Present[r]
-			}
-		}
-	}
-	return dst
-}

@@ -88,30 +88,6 @@ func TestBlockViewCrossKindCoercion(t *testing.T) {
 	}
 }
 
-func TestCopyRowsGathers(t *testing.T) {
-	src := testBlock()
-	dst := copyRows(src, []int32{2, 0})
-	if dst.Len() != 2 {
-		t.Fatalf("len = %d, want 2", dst.Len())
-	}
-	for di, si := range []int{2, 0} {
-		view, twin := dst.Event(di), mapTwin(src, si)
-		for _, name := range []string{"level", "count", "alarm", "zone"} {
-			gv, _ := view.Get(name)
-			wv, _ := twin.Get(name)
-			if gv != wv || view.Time != twin.Time || view.Key != twin.Key {
-				t.Errorf("dst row %d %s = %v, want %v", di, name, gv, wv)
-			}
-		}
-	}
-	// The copy must not alias the source columns.
-	src.Times[2] = 999
-	src.Cols[0].F[2] = -1
-	if dst.Times[0] != 30 || dst.Cols[0].F[0] != 0.9 {
-		t.Error("copyRows aliased the source block")
-	}
-}
-
 // levelDefs recognises an "alert" fluent keyed by sensor, initiated
 // when level > 0.5 and alarm is set, terminated when the zone reads
 // "north" with a non-negative count — exercising every accessor kind

@@ -44,7 +44,7 @@ type Context struct {
 
 // Rows is a zero-copy window view: the time-sorted events of one type
 // (or one type and key) inside the window, iterable without
-// materializing Event values. Over the row store it wraps the shared
+// materializing Event values. Over derived events it wraps the shared
 // event slice; over the column store it wraps the resident segment
 // plus a row-id sub-slice, and At builds the lightweight column view
 // on demand — rules that only need times, keys or single attributes
@@ -54,7 +54,7 @@ type Context struct {
 // do not retain it across queries (eviction and compaction may reuse
 // the underlying storage).
 type Rows struct {
-	evs []Event // row store and derived events
+	evs []Event // derived events (and the test-only reference store)
 	seg *colSeg // column store; nil when evs is the backing
 	ids []int32 // row ids into seg, (time, arrival)-sorted
 }
@@ -93,7 +93,7 @@ func (r Rows) KeyAt(i int) string {
 	return r.evs[i].Key
 }
 
-// Slice materializes the view as an event slice. Over the row store
+// Slice materializes the view as an event slice. Over derived events
 // this is the shared backing slice (zero-copy, do not modify); over
 // the column store it allocates — columnar-aware rules should iterate
 // the view instead.

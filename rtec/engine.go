@@ -35,31 +35,22 @@ type Options struct {
 	// of one stratum concurrently. 0 means GOMAXPROCS; 1 forces
 	// serial evaluation. Strata remain barriers either way.
 	RuleWorkers int
-	// Store selects the working-memory representation. The default
-	// StoreRow is the original row-resident event store; StoreColumn
-	// keeps working memory as per-type column segments with row-id
-	// indexes — same observable behaviour, a fraction of the resident
-	// bytes. See store.go.
+	// Deprecated: ignored; the engine's working memory is always the
+	// column-resident store.
 	Store StoreKind
 }
 
-// StoreKind selects a working-memory implementation.
+// StoreKind named a working-memory implementation.
+//
+// Deprecated: the engine has one working memory; Options.Store is
+// ignored.
 type StoreKind uint8
 
+// Deprecated: ignored, see StoreKind.
 const (
-	// StoreRow is the row-resident event store (the equivalence
-	// reference).
 	StoreRow StoreKind = iota
-	// StoreColumn is the columnar-resident store.
 	StoreColumn
 )
-
-func (k StoreKind) String() string {
-	if k == StoreColumn {
-		return "column"
-	}
-	return "row"
-}
 
 // Engine is a windowed RTEC evaluator. It accumulates SDEs as they
 // arrive (possibly delayed and out of order) and computes, at each
@@ -72,9 +63,13 @@ type Engine struct {
 	defs *Definitions //state:transient compiled rule set, supplied at construction; Restore requires an identically-built engine
 	opts Options      //state:transient config, supplied at construction
 
-	store   sdeStore // time-indexed SDE buckets
-	lastQ   Time
-	started bool
+	store sdeStore // time-indexed SDE buckets
+	// newStore builds an empty working memory: the column store, or a
+	// reference store in the equivalence tests. Restore rebuilds
+	// through it.
+	newStore func() sdeStore //state:transient constructor, supplied at construction
+	lastQ    Time
+	started  bool
 
 	// prev holds, per simple fluent, the un-clipped maximal interval
 	// lists from the previous query. They seed the law of inertia at
@@ -119,20 +114,19 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 	if opts.RuleWorkers < 0 {
 		return nil, fmt.Errorf("rtec: rule workers must be non-negative, got %d", opts.RuleWorkers)
 	}
-	if opts.Store > StoreColumn {
-		return nil, fmt.Errorf("rtec: unknown store kind %d", opts.Store)
-	}
 	if opts.Step == 0 {
 		opts.Step = opts.WorkingMemory
 	}
-	return &Engine{
-		defs:  defs,
-		opts:  opts,
-		store: newSDEStore(opts.Store),
-		prev:  make(map[string]map[KV]List),
-		cache: make(map[string]*ruleCache),
-		seen:  make(map[derivedID]bool),
-	}, nil
+	e := &Engine{
+		defs:     defs,
+		opts:     opts,
+		newStore: newColumnStore,
+		prev:     make(map[string]map[KV]List),
+		cache:    make(map[string]*ruleCache),
+		seen:     make(map[derivedID]bool),
+	}
+	e.store = e.newStore()
+	return e, nil
 }
 
 // Options returns the engine configuration.
@@ -203,7 +197,7 @@ func (e *Engine) inputBlock(b *Block, rows []int32) error {
 		return nil
 	}
 	// Sort the admitted rows by occurrence time, stably, so the owned
-	// block meets insertBlock's contract. Delivery (arrival) order is
+	// block meets insertRows' contract. Delivery (arrival) order is
 	// preserved on ties, and since a bucket's time-sorted
 	// arrival-stable order is unique, the store ends up bit-identical
 	// to per-row insertion. Mediator jitter is bounded, so most blocks

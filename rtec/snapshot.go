@@ -112,10 +112,8 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	s := &EngineSnapshot{LastQ: e.lastQ, Started: e.started}
 
 	// The store flattens itself to the canonical row-oriented form:
-	// identical engine states produce identical snapshots whichever
-	// store implementation is configured, so a checkpoint written by a
-	// row-store engine restores into a column-store one (and vice
-	// versa) bit-identically.
+	// identical engine states produce identical snapshots whatever the
+	// store's physical layout (row ids, dictionaries, dead rows).
 	types, err := e.store.snapshotTypes()
 	if err != nil {
 		return nil, err
@@ -302,10 +300,9 @@ func restoreEvent(typ string, es EventSnapshot) (Event, error) {
 // rejected. All previous state — store, inertia, dedup set, splice
 // caches — is discarded.
 func (e *Engine) Restore(s *EngineSnapshot) error {
-	// The rebuilt store is whatever kind the restoring engine is
-	// configured with — snapshots are store-representation-independent,
-	// so a checkpoint migrates between store kinds transparently.
-	store := newSDEStore(e.opts.Store)
+	// Snapshots are row-oriented and independent of the store's
+	// physical layout, so the store is rebuilt from scratch.
+	store := e.newStore()
 	restored := make(map[string]bool, len(s.Types))
 	for _, ts := range s.Types {
 		if !e.defs.IsSDE(ts.Type) {

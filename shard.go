@@ -135,7 +135,6 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 	opts := rtec.Options{
 		WorkingMemory: cfg.WorkingMemory,
 		Step:          cfg.Step,
-		Store:         cfg.Store,
 	}
 	for i := range t.shards {
 		i := i

@@ -70,8 +70,8 @@ func compareShardReports(t *testing.T, label string, got, want []*Report) {
 // pipeline — crowdsourcing loop included, chaos dropping and
 // duplicating rows on every stream — must recognise bit-identical
 // complex events through the N-way sharded recognition tier at every
-// shard count and with either store kind, compared against the
-// single-engine reference (the legacy path with one partition).
+// shard count, compared against the single-engine reference (the
+// legacy path with one partition).
 func TestShardEquivalenceGrid(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 	const wm = Time(1800)
@@ -86,7 +86,7 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	}
 
 	city := testCity(t)
-	run := func(shards int, kind rtec.StoreKind) []*Report {
+	run := func(shards int) []*Report {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -95,7 +95,6 @@ func TestShardEquivalenceGrid(t *testing.T) {
 			Step:          wm / 2,
 			Partitions:    1, // single-engine reference when Shards == 0
 			Shards:        shards,
-			Store:         kind,
 			Participants:  testParticipants(city, 8),
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
@@ -124,7 +123,7 @@ func TestShardEquivalenceGrid(t *testing.T) {
 		return reports
 	}
 
-	reference := run(0, rtec.StoreRow)
+	reference := run(0)
 	if len(reference) == 0 {
 		t.Fatal("reference run produced no reports")
 	}
@@ -139,12 +138,9 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 4, 8} {
-		for _, kind := range []rtec.StoreKind{rtec.StoreRow, rtec.StoreColumn} {
-			t.Run(fmt.Sprintf("shards=%d/store=%v", n, kind), func(t *testing.T) {
-				compareShardReports(t, fmt.Sprintf("%d shards vs single engine", n),
-					run(n, kind), reference)
-			})
-		}
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			compareShardReports(t, fmt.Sprintf("%d shards vs single engine", n), run(n), reference)
+		})
 	}
 }
 
@@ -166,7 +162,6 @@ func TestShardRebalanceDeterminism(t *testing.T) {
 			WorkingMemory: 1800,
 			Step:          step,
 			Shards:        4,
-			Store:         rtec.StoreColumn,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -247,7 +242,6 @@ func TestShardAutoRebalancePipeline(t *testing.T) {
 			Shards:            shards,
 			RebalanceFactor:   factor,
 			RebalanceMinMoves: 40,
-			Store:             rtec.StoreColumn,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -282,8 +276,8 @@ func TestShardAutoRebalancePipeline(t *testing.T) {
 
 // TestShardTierSnapshotRoundTrip checks the tier's own checkpoint
 // surface: snapshotting a sharded system mid-run — rebalance overrides
-// and all — and restoring it into a fresh system (with the other store
-// kind) must continue bit-identically with the original.
+// and all — and restoring it into a fresh, identically configured
+// system must continue bit-identically with the original.
 func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	const step = Time(900)
@@ -299,7 +293,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		sdes = append(sdes, sde)
 	}
 
-	mk := func(kind rtec.StoreKind) *System {
+	mk := func() *System {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -307,7 +301,6 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			WorkingMemory: 1800,
 			Step:          step,
 			Shards:        3,
-			Store:         kind,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -319,7 +312,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		return sys
 	}
 
-	sysA := mk(rtec.StoreColumn)
+	sysA := mk()
 	sysA.StartReplay(sdes)
 	mid := from + 4*step
 	for q := from + step; q <= mid; q += step {
@@ -341,7 +334,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("tier snapshot has %d parts, want %d (shards + reduce + tier state)", len(snaps), want)
 	}
 
-	sysB := mk(rtec.StoreRow) // snapshots are store-independent
+	sysB := mk()
 	if err := sysB.engines.Restore(snaps); err != nil {
 		t.Fatal(err)
 	}

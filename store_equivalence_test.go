@@ -1,273 +1,57 @@
 package insight
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
-	"github.com/insight-dublin/insight/traffic"
 )
 
-// gridCells is the store-equivalence grid: every rule-set variant of
-// the Dublin deployment crossed with query steps from one window down
-// to a quarter window.
-var gridRuleSets = []struct {
-	name string
-	cfg  traffic.Config
-}{
-	{"crowd-validated", traffic.Config{NoisyPolicy: traffic.CrowdValidated}},
-	{"pessimistic-adaptive", traffic.Config{NoisyPolicy: traffic.Pessimistic, Adaptive: true}},
-	{"structured", traffic.Config{NoisyPolicy: traffic.Pessimistic, StructuredIntersections: true}},
-}
+// The two grids below once ran every cell twice, with the partition
+// engines' working memory row-resident and column-resident, and
+// compared the reports. The engine now has one working memory, the
+// column store; the store dimension of these grids is gated in the rtec
+// package (TestDublinStoreMatchesReference: column store vs a naive
+// reference store, same rule sets, steps and fault mixes). What stays
+// here is the system-level half: on every cell, the columnar pipeline
+// must match a row-at-a-time reference fed the very same faulted rows.
 
-// TestColumnStoreMatchesRowStoreGrid is the store-equivalence gate at
-// system level: the full Dublin pipeline — every rule-set variant,
-// query steps from one window down to a quarter window, and chaos
-// injection dropping and duplicating rows on every stream — must
-// recognise bit-identical complex events whether the partition engines
-// keep their working memory row-resident or column-resident. Drop/dup
-// faults keep each stream arrival-ordered, so boundary admission is
-// watermark-exact and the live concurrent pipeline stays deterministic
-// (out-of-order re-delivery is covered separately below, through a
-// deterministic merge — see TestColumnStoreMatchesRowStoreDelayed).
+// TestColumnStoreMatchesRowStoreGrid runs the drop/dup chaos gate on
+// every rule-set variant of the Dublin deployment × query steps from
+// one window down to a quarter window: the live concurrent pipeline,
+// with seeded drops and duplicates on every stream, must deliver
+// bit-identical reports to the direct replay loop (System.RunReplay)
+// fed event by event with exactly the rows the same injectors let
+// through. Drop/dup faults keep each stream arrival-ordered, so
+// boundary admission is watermark-exact and the live pipeline stays
+// deterministic.
 func TestColumnStoreMatchesRowStoreGrid(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-	const wm = Time(1800)
-	steps := []Time{wm, wm / 2, wm / 4}
-
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
-	for i, id := range []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"} {
-		chaos.Streams[id] = streams.FaultSpec{
-			Seed:     300 + int64(i)*11,
-			DropProb: 0.06,
-			DupProb:  0.06,
-		}
-	}
-
 	city := testCity(t)
-	run := func(tc traffic.Config, step Time, kind rtec.StoreKind) []*Report {
-		t.Helper()
-		sys, err := New(Config{
-			City:          city,
-			Seed:          7,
-			WorkingMemory: wm,
-			Step:          step,
-			Store:         kind,
-			Traffic:       tc,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := sys.BuildChaosPipeline(from, until, chaos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports, err := pipe.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropped, duplicated := 0, 0
-		for _, cs := range pipe.Chaos {
-			dropped += cs.Stats().Dropped
-			duplicated += cs.Stats().Duplicated
-		}
-		if dropped == 0 || duplicated == 0 {
-			t.Fatalf("chaos injected %d drops, %d dups: fault injection inert", dropped, duplicated)
-		}
-		return reports
-	}
-
 	for _, rs := range gridRuleSets {
-		for _, step := range steps {
+		for _, step := range gridSteps {
 			t.Run(fmt.Sprintf("%s/step=%d", rs.name, int64(step)), func(t *testing.T) {
-				rowReports := run(rs.cfg, step, rtec.StoreRow)
-				if len(rowReports) == 0 {
-					t.Fatal("row-store run produced no reports")
-				}
-				colReports := run(rs.cfg, step, rtec.StoreColumn)
-				compareReports(t, "column vs row store", colReports, rowReports)
+				checkDropDupMatchesReplay(t, city, rs.cfg, step,
+					chaosSpecs(300, 11, streams.FaultSpec{DropProb: 0.06, DupProb: 0.06}))
 			})
 		}
 	}
 }
 
-// TestColumnStoreMatchesRowStoreDelayed is the out-of-order half of
-// the grid: seeded fault injection holds rows back and re-delivers
-// them after their stream's arrival watermark has passed, so blocks
-// reach the engines late and out of order — the regime the dirty
-// watermark exists for. Whether a held row lands before or after a
-// query boundary depends on the physical interleaving of the streams,
-// which the live concurrent pipeline does not pin down; both store
-// runs therefore consume the same faulted batches through the
-// deterministic single-threaded merge of the chaos round-trip tests
-// (smallest head arrival first, ties by stream order), and the
-// comparison is exact: bit-identical reports at every boundary,
-// row-resident vs column-resident working memory.
+// TestColumnStoreMatchesRowStoreDelayed is the out-of-order half of the
+// grid: seeded fault injection drops rows and holds others back,
+// re-delivering them after their stream's arrival watermark has passed
+// — the regime the dirty watermark exists for. The faulted streams are
+// merged deterministically, and on every cell the batched processor
+// must report bit-identically to a second processor fed the same rows
+// as single-row envelopes.
 func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
-	const from, until = Time(7 * 3600), Time(8 * 3600)
-	const wm = Time(1800)
-	steps := []Time{wm, wm / 2, wm / 4}
-
-	before := streams.LiveBatches()
 	city := testCity(t)
-
-	mkProc := func(tc traffic.Config, step Time, kind rtec.StoreKind, ids []string) *rtecProcessor {
-		t.Helper()
-		sys, err := New(Config{
-			City:          city,
-			Seed:          7,
-			WorkingMemory: wm,
-			Step:          step,
-			Store:         kind,
-			Traffic:       tc,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := &rtecProcessor{
-			system:     sys,
-			step:       step,
-			nextQ:      from + step,
-			until:      until,
-			watermarks: make(map[string]Time, len(ids)),
-			degraded:   make(map[string]bool),
-		}
-		for _, id := range ids {
-			p.watermarks[id] = from
-		}
-		return p
-	}
-
-	// cloneBatch copies a pooled batch row by row so two consuming
-	// processors can each release their own copy.
-	cloneBatch := func(b *streams.Batch) *streams.Batch {
-		cp := streams.GetBatch(b.Type, b.Source)
-		for i := 0; i < b.Len(); i++ {
-			cp.AppendRowFrom(b, i)
-		}
-		return cp
-	}
-
-	collect := func(dst *[]*Report, items []streams.Item) {
-		for _, it := range items {
-			rep, ok := it[itemReport].(*Report)
-			if !ok {
-				t.Fatalf("monitoring emitted a non-report item %v", it)
-			}
-			*dst = append(*dst, rep)
-		}
-	}
-
 	for _, rs := range gridRuleSets {
-		for _, step := range steps {
+		for _, step := range gridSteps {
 			t.Run(fmt.Sprintf("%s/step=%d", rs.name, int64(step)), func(t *testing.T) {
-				bstreams := city.CollectBatches(from, until, 512, step/2)
-				type cursor struct {
-					id   string
-					src  *streams.ChaosSource
-					next *streams.Batch
-					done bool
-				}
-				ids := make([]string, 0, len(bstreams))
-				cursors := make([]*cursor, 0, len(bstreams))
-				for i, bs := range bstreams {
-					ids = append(ids, bs.ID)
-					items := make([]streams.Item, 0, len(bs.Batches))
-					for _, b := range bs.Batches {
-						items = append(items, streams.BatchItem(b))
-					}
-					cursors = append(cursors, &cursor{
-						id: bs.ID,
-						src: streams.NewChaosSource(streams.NewSliceSource(items...), streams.FaultSpec{
-							Seed:      300 + int64(i)*11,
-							DropProb:  0.03,
-							DelayProb: 0.10,
-							DelayMax:  4,
-						}),
-					})
-				}
-				advance := func(c *cursor) {
-					it, ok := c.src.Read()
-					if !ok {
-						c.next, c.done = nil, true
-						return
-					}
-					b, isBatch := streams.ItemBatch(it)
-					if !isBatch {
-						t.Fatalf("stream %s: injector emitted a non-batch item", c.id)
-					}
-					c.next = b
-				}
-				for _, c := range cursors {
-					advance(c)
-				}
-
-				rowProc := mkProc(rs.cfg, step, rtec.StoreRow, ids)
-				colProc := mkProc(rs.cfg, step, rtec.StoreColumn, ids)
-				var rowReports, colReports []*Report
-				fed := 0
-				for {
-					pick := -1
-					for i, c := range cursors {
-						if c.done {
-							continue
-						}
-						if pick < 0 || c.next.Arrivals[0] < cursors[pick].next.Arrivals[0] {
-							pick = i
-						}
-					}
-					if pick < 0 {
-						break
-					}
-					c := cursors[pick]
-					b := c.next
-					fed += b.Len()
-
-					cp := cloneBatch(b)
-					outs, err := colProc.ProcessBatch(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					collect(&colReports, outs)
-					outs, err = rowProc.ProcessBatch(cp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					collect(&rowReports, outs)
-					advance(c)
-				}
-				if fed == 0 {
-					t.Fatal("no rows survived fault injection")
-				}
-				delayed := 0
-				for _, c := range cursors {
-					delayed += c.src.Stats().Delayed
-				}
-				if delayed == 0 {
-					t.Fatal("no rows were re-ordered: delay injection inert")
-				}
-
-				outs, err := colProc.Flush()
-				if err != nil {
-					t.Fatal(err)
-				}
-				collect(&colReports, outs)
-				outs, err = rowProc.Flush()
-				if err != nil {
-					t.Fatal(err)
-				}
-				collect(&rowReports, outs)
-
-				if len(rowReports) == 0 {
-					t.Fatal("row-store run produced no reports")
-				}
-				compareReports(t, "column vs row store (delayed)", colReports, rowReports)
+				checkDelayRoundTrip(t, city, rs.cfg, step,
+					chaosSpecs(300, 11, streams.FaultSpec{DropProb: 0.03, DelayProb: 0.10, DelayMax: 4}))
 			})
 		}
-	}
-	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: delayed buffers not returned to the pool", live, before)
 	}
 }

@@ -17,7 +17,7 @@
 //     relative complement the tier computes from the reduced fluent.
 //
 // The equivalence of this decomposition against the single-engine rule
-// set — at every shard count, both store kinds, under chaos — is pinned
+// set — at every shard count, under chaos — is pinned
 // by the shard-equivalence grid in the root package.
 package traffic
 
