@@ -60,7 +60,9 @@ lint-json:
 # does not reach it, and a public-API change that breaks the benchmark
 # must fail here), and finish with a short fuzz pass over the
 # factorization/solve, WAL-decode, store block-merge (column store vs
-# reference store), shard-assignment and checkpoint-decode targets. The
+# reference store), malformed-block ingest (InputBlock must reject, not
+# panic, leaving the store unchanged), shard-assignment and
+# checkpoint-decode targets. The
 # checkpoint target caps minimization at 2 s: its seeds are ~10 KB
 # real checkpoints, and the default 60 s spent shrinking each new
 # corpus entry would eat the whole fuzz budget.
@@ -76,6 +78,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzInputBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 2s .
 
@@ -130,6 +133,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzInputBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 2s .
 

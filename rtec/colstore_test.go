@@ -287,7 +287,7 @@ func TestColumnStoreMatchesReference(t *testing.T) {
 	)
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		engines := newEquivEngines(t, Options{WorkingMemory: wm, Step: step, RuleWorkers: 1})
+		engines := newEquivEngines(t, Options{WorkingMemory: wm, Step: step})
 
 		q := Time(0)
 		clock := int64(0)
@@ -335,7 +335,7 @@ func FuzzMergeBlock(f *testing.F) {
 		if len(data) < 8 {
 			return
 		}
-		engines := newEquivEngines(t, Options{WorkingMemory: 30, Step: 10, RuleWorkers: 1})
+		engines := newEquivEngines(t, Options{WorkingMemory: 30, Step: 10})
 		clock := int64(0)
 		q := Time(0)
 		chunks := 0
@@ -396,7 +396,7 @@ func TestSnapshotRoundTripLateMin(t *testing.T) {
 	for _, src := range stores {
 		for _, dst := range stores {
 			t.Run(src+"-to-"+dst, func(t *testing.T) {
-				opts := Options{WorkingMemory: 40, Step: 10, RuleWorkers: 1}
+				opts := Options{WorkingMemory: 40, Step: 10}
 				e := newStoreEngine(t, src, opts)
 				feed := func(e *Engine, rows ...equivRow) {
 					t.Helper()

@@ -1,5 +1,7 @@
 package rtec
 
+import "fmt"
+
 // Columnar SDE ingestion. The transport layer moves batches of
 // same-typed events as struct-of-arrays blocks; instead of decoding
 // each row into an attribute map before insertion, the engine copies
@@ -91,6 +93,56 @@ type Block struct {
 	// reads them transiently during insertion.
 	KIdx  []uint32
 	KDict []string
+}
+
+// checkRows reports the first reason any of the given rows cannot be
+// read: a key slice or column (or its Present mask) too short to hold
+// it, a key or string index past its dictionary, an unknown column
+// kind or a repeated column name. InputBlock runs it over the admitted
+// rows before filing any, so a malformed block is rejected whole.
+func (b *Block) checkRows(rows []int32) error {
+	var last int32
+	for _, r := range rows {
+		if r > last {
+			last = r
+		}
+	}
+	need := int(last) + 1
+	if b.KIdx != nil {
+		if len(b.KIdx) < need {
+			return fmt.Errorf("rtec: block %q has %d key ids, row %d needs %d", b.Type, len(b.KIdx), last, need)
+		}
+		for _, r := range rows {
+			if k := b.KIdx[r]; int(k) >= len(b.KDict) {
+				return fmt.Errorf("rtec: block %q row %d: key id %d outside its %d-entry dictionary", b.Type, r, k, len(b.KDict))
+			}
+		}
+	} else if len(b.Keys) < need {
+		return fmt.Errorf("rtec: block %q has %d keys, row %d needs %d", b.Type, len(b.Keys), last, need)
+	}
+	for ci := range b.Cols {
+		c := &b.Cols[ci]
+		if c.Kind > ColAny {
+			return fmt.Errorf("rtec: block %q column %q has unknown kind %d", b.Type, c.Name, c.Kind)
+		}
+		if colLen(c) < need || (c.Present != nil && len(c.Present) < need) {
+			return fmt.Errorf("rtec: block %q column %q is shorter than row %d", b.Type, c.Name, last)
+		}
+		for cj := 0; cj < ci; cj++ {
+			if b.Cols[cj].Name == c.Name {
+				return fmt.Errorf("rtec: block %q repeats column %q", b.Type, c.Name)
+			}
+		}
+		if c.Kind != ColStr {
+			continue
+		}
+		for _, r := range rows {
+			if si := c.SIdx[r]; c.present(int(r)) && int(si) >= len(c.Dict) {
+				return fmt.Errorf("rtec: block %q column %q row %d: string id %d outside its %d-entry dictionary", b.Type, c.Name, r, si, len(c.Dict))
+			}
+		}
+	}
+	return nil
 }
 
 // Len returns the number of rows.

@@ -19,14 +19,16 @@ type Span = interval.Span
 // took place before or on Q−WM.
 //
 // SDE lookups are zero-copy views over the engine's time-indexed event
-// store; derived events are filed by the engine as strata complete.
+// store; derived events and fluents are filed by the engine as each
+// rule completes.
 // During incremental evaluation the engine hands rules a context whose
 // event visibility is narrowed to the region being recomputed (view);
 // fluent lookups are never narrowed — interval lists always cover the
 // whole window.
 //
-// A Context is safe for concurrent readers; the engine only writes to
-// it at stratum barriers.
+// The engine evaluates rules one at a time in stratum order and files
+// each rule's output before the next rule runs; stratification
+// guarantees no rule reads an output of its own or a higher stratum.
 //
 // The interval lists returned by Intervals and friends may extend to
 // the end of the window horizon for fluents that are still open at the
@@ -252,8 +254,8 @@ func (c *Context) ValueAt(fluent, key string, t Time) (string, bool) {
 }
 
 // addEvents inserts derived events so higher strata can read them.
-// Events must be added before the stratum that reads them is
-// evaluated; the engine guarantees this ordering (strata are barriers).
+// Events must be added before any rule that reads them is evaluated;
+// the engine guarantees this by evaluating rules in stratum order.
 func (c *Context) addEvents(typ string, events []Event) {
 	if len(events) == 0 {
 		return

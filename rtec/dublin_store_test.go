@@ -69,7 +69,7 @@ func TestDublinStoreMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts := rtec.Options{WorkingMemory: wm, Step: step, RuleWorkers: 1}
+					opts := rtec.Options{WorkingMemory: wm, Step: step}
 					col, err := rtec.NewEngine(defs, opts)
 					if err != nil {
 						t.Fatal(err)

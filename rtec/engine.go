@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/insight-dublin/insight/interval"
@@ -31,9 +30,9 @@ type Options struct {
 	// to debug a rule whose declared Locality is suspect — the
 	// incremental and full paths must produce identical results.
 	ForceFullRecompute bool
-	// RuleWorkers bounds the goroutines evaluating independent rules
-	// of one stratum concurrently. 0 means GOMAXPROCS; 1 forces
-	// serial evaluation. Strata remain barriers either way.
+	// Deprecated: ignored; an engine evaluates its rules serially in
+	// stratum order, and parallelism comes from running several
+	// engines (see Partitioned).
 	RuleWorkers int
 	// Deprecated: ignored; the engine's working memory is always the
 	// column-resident store.
@@ -111,9 +110,6 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 	if opts.Step < 0 {
 		return nil, fmt.Errorf("rtec: step must be non-negative, got %d", opts.Step)
 	}
-	if opts.RuleWorkers < 0 {
-		return nil, fmt.Errorf("rtec: rule workers must be non-negative, got %d", opts.RuleWorkers)
-	}
 	if opts.Step == 0 {
 		opts.Step = opts.WorkingMemory
 	}
@@ -160,13 +156,16 @@ func (e *Engine) Input(events ...Event) error {
 // too old to ever appear in a window again are skipped, rows at or
 // before the last query time are marked late. The engine copies the
 // admitted rows into a block it owns, so the caller may reuse b
-// immediately.
+// immediately. A block whose admitted rows reach past its keys or
+// columns, or whose key or string indexes reach past their
+// dictionaries, is rejected whole, like an undeclared type: the error
+// is returned and nothing is filed.
 func (e *Engine) InputBlock(b *Block) error {
 	return e.inputBlock(b, nil)
 }
 
 // InputBlockRows is InputBlock restricted to the given rows of b, in
-// the given order.
+// the given order. A row outside b is rejected like a malformed block.
 func (e *Engine) InputBlockRows(b *Block, rows []int32) error {
 	return e.inputBlock(b, rows)
 }
@@ -187,6 +186,9 @@ func (e *Engine) inputBlock(b *Block, rows []int32) error {
 		}
 	} else {
 		for _, r := range rows {
+			if r < 0 || int(r) >= len(b.Times) {
+				return fmt.Errorf("rtec: block %q has no row %d (%d rows)", b.Type, r, len(b.Times))
+			}
 			if e.started && Time(b.Times[r]) <= tooOld {
 				continue
 			}
@@ -195,6 +197,9 @@ func (e *Engine) inputBlock(b *Block, rows []int32) error {
 	}
 	if len(e.rowScratch) == 0 {
 		return nil
+	}
+	if err := b.checkRows(e.rowScratch); err != nil {
+		return err
 	}
 	// Sort the admitted rows by occurrence time, stably, so the owned
 	// block meets insertRows' contract. Delivery (arrival) order is
@@ -288,9 +293,6 @@ type Stats struct {
 	// long-lived structures after eviction (see sdeStore). Recorded
 	// only under Options.Profile; 0 otherwise.
 	ResidentBytes uint64
-	// EvalGoroutines is the peak number of goroutines that evaluated
-	// rules concurrently (1 when every stratum ran serially).
-	EvalGoroutines int
 }
 
 // HoldsAt reports whether a boolean fluent instance holds at t
@@ -311,17 +313,6 @@ func (r *Result) Intervals(fluent, key string) List {
 		return nil
 	}
 	return m[KV{Key: key, Value: TrueValue}]
-}
-
-// ruleOutput collects what one rule evaluation produced, so concurrent
-// evaluation can defer every shared-state mutation to the stratum
-// barrier and apply it in definition order (deterministic regardless
-// of goroutine scheduling).
-type ruleOutput struct {
-	trans  []Transition // simple: window-filtered transition points (next cache)
-	full   map[KV]List  // simple: un-clipped maximal intervals
-	static map[KV]List  // static: normalised instance intervals
-	events []Event      // event: in-window recognised instances
 }
 
 // Query evaluates all CE definitions at query time q. Query times must
@@ -367,14 +358,10 @@ func (e *Engine) Query(q Time) (*Result, error) {
 		}
 	}
 
-	workers := e.opts.RuleWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	outs := make([]ruleOutput, len(e.defs.rules))
-	var costMu sync.Mutex
-
-	evalOne := func(i int) {
+	// Evaluate rule by rule in compiled (stratum) order. Stratification
+	// guarantees no rule reads a same- or higher-stratum output, so each
+	// rule's output is filed into the context as soon as it finishes.
+	for i := range e.defs.rules {
 		rule := &e.defs.rules[i]
 		var ruleStart time.Time
 		if e.opts.Profile {
@@ -388,8 +375,11 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			} else {
 				trans = cacheTransitions(rule.simple.Transitions(ctx), windowStart, q)
 			}
-			outs[i].trans = trans
-			outs[i].full = evalSimpleFluent(trans, e.prev[rule.name], window, q)
+			full := evalSimpleFluent(trans, e.prev[rule.name], window, q)
+			ctx.setFluent(rule.name, full)
+			newPrev[rule.name] = full
+			res.Fluents[rule.name] = clipInstances(full, window)
+			newCache[rule.name] = &ruleCache{q: q, trans: trans}
 		case kindStatic:
 			inst := rule.static.HoldsFor(ctx)
 			norm := make(map[KV]List, len(inst))
@@ -404,7 +394,8 @@ func (e *Engine) Query(q Time) (*Result, error) {
 					norm[kv] = l
 				}
 			}
-			outs[i].static = norm
+			ctx.setFluent(rule.name, norm)
+			res.Fluents[rule.name] = clipInstances(norm, window)
 		case kindEvent:
 			var inWindow []Event
 			if p, ok := e.planSplice(i, q, windowStart); ok {
@@ -419,70 +410,13 @@ func (e *Engine) Query(q Time) (*Result, error) {
 					}
 				}
 			}
-			outs[i].events = inWindow
+			ctx.addEvents(rule.name, inWindow)
+			res.Derived[rule.name] = inWindow
+			newCache[rule.name] = &ruleCache{q: q, evs: inWindow}
 		}
 		if e.opts.Profile {
-			d := time.Since(ruleStart)
-			costMu.Lock()
-			res.RuleCosts[rule.name] += d
-			costMu.Unlock()
+			res.RuleCosts[rule.name] += time.Since(ruleStart)
 		}
-	}
-
-	// Evaluate stratum by stratum (rules are sorted by stratum).
-	// Within a stratum rules never read each other, so they run
-	// concurrently on a bounded pool; the stratum barrier then applies
-	// their outputs to the shared context in definition order.
-	res.Stats.EvalGoroutines = 1
-	for lo := 0; lo < len(e.defs.rules); {
-		hi := lo + 1
-		for hi < len(e.defs.rules) && e.defs.rules[hi].stratum == e.defs.rules[lo].stratum {
-			hi++
-		}
-		if par := min(workers, hi-lo); par > 1 {
-			if par > res.Stats.EvalGoroutines {
-				res.Stats.EvalGoroutines = par
-			}
-			idx := make(chan int, hi-lo)
-			for i := lo; i < hi; i++ {
-				idx <- i
-			}
-			close(idx)
-			var wg sync.WaitGroup
-			wg.Add(par)
-			for w := 0; w < par; w++ {
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						evalOne(i)
-					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for i := lo; i < hi; i++ {
-				evalOne(i)
-			}
-		}
-		for i := lo; i < hi; i++ {
-			rule := &e.defs.rules[i]
-			switch rule.kind {
-			case kindSimple:
-				full := outs[i].full
-				ctx.setFluent(rule.name, full)
-				newPrev[rule.name] = full
-				res.Fluents[rule.name] = clipInstances(full, window)
-				newCache[rule.name] = &ruleCache{q: q, trans: outs[i].trans}
-			case kindStatic:
-				ctx.setFluent(rule.name, outs[i].static)
-				res.Fluents[rule.name] = clipInstances(outs[i].static, window)
-			case kindEvent:
-				ctx.addEvents(rule.name, outs[i].events)
-				res.Derived[rule.name] = outs[i].events
-				newCache[rule.name] = &ruleCache{q: q, evs: outs[i].events}
-			}
-		}
-		lo = hi
 	}
 
 	// Fresh derived events: not seen at any earlier query time. When
@@ -545,13 +479,6 @@ func (e *Engine) Query(q Time) (*Result, error) {
 	e.lastQ = q
 	e.started = true
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Run evaluates at the regular query times start, start+Step,

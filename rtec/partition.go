@@ -203,7 +203,6 @@ func MergeResults(results []*Result) *Result {
 		out.Stats.FluentPeriods += r.Stats.FluentPeriods
 		out.Stats.AllocBytes += r.Stats.AllocBytes
 		out.Stats.ResidentBytes += r.Stats.ResidentBytes
-		out.Stats.EvalGoroutines += r.Stats.EvalGoroutines
 		if r.Stats.Elapsed > out.Stats.Elapsed {
 			out.Stats.Elapsed = r.Stats.Elapsed // parallel: max, not sum
 		}
